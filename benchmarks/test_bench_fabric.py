@@ -1,26 +1,34 @@
 """Perf-smoke: the sweep fabric and the tiered cache earn their keep.
 
-Two claims, two benchmarks:
+Three claims, three benchmarks:
 
 1. **Straggler sweep** — a 256-point space whose first 16 points are
-   ~40 ms stragglers (all hashing to shard 0, so fixed chunking *and*
-   shard ownership both hand them to one worker).  The PR 2 pool
-   (:class:`~repro.dse.batch.ParallelEvaluator`) serializes the slow
-   block on a single worker; the work-stealing fabric
-   (:class:`~repro.dse.fabric.FabricEvaluator`) spreads it across all
-   four.  Both must return bit-identical costs and the fabric must be
-   at least 1.5× faster (typically ~2.5-3×; the floor absorbs CI
+   ~40 ms stragglers (all hashing to shard 0, so shard ownership hands
+   every one of them to worker slot 0).  With stealing off
+   (``FabricEvaluator(steal=False)``, the fixed-ownership case) slot 0
+   serializes the slow block; with stealing on it is spread across all
+   four slots.  Both must return bit-identical costs and stealing must
+   be at least 1.5× faster (typically ~2.5-3×; the floor absorbs CI
    jitter) with at least one recorded steal.
 
-2. **Cache front vs disk** — warm :meth:`SimCacheStore.get` hits served
+2. **Uniform sweep** — the same pool on a space where every point costs
+   the same and shards are evenly spread, so there is nothing to steal
+   for.  Stealing must cost nothing here: steal-on stays within 10% of
+   steal-off, with bit-identical costs.
+
+3. **Cache front vs disk** — warm :meth:`SimCacheStore.get` hits served
    by the in-memory LRU front must be at least 5× faster per call than
    the same keys read through the disk tier (typically 20-60×: a dict
    lookup vs open+read+parse).  Both tiers must return bit-identical
    costs.
 
 Wall times, speedups and steal counts fold into the harness records,
-``results/BENCH_test_fabric_sweep_speedup.json`` and
-``results/BENCH_test_cache_front_speedup.json``.
+``results/BENCH_test_fabric_sweep_speedup.json``,
+``results/BENCH_test_fabric_uniform_parity.json`` and
+``results/BENCH_test_cache_front_speedup.json``.  The harness pass runs
+through a :class:`~repro.dse.evaluate.BudgetedEvaluator`, so each fabric
+record carries a ``dse.evaluations`` work signature for
+``scripts/perf_sentry.py``.
 """
 
 from __future__ import annotations
@@ -31,18 +39,27 @@ import time
 import numpy as np
 from conftest import run_once, update_bench_record
 
-from repro.dse.batch import ParallelEvaluator
+from repro.dse.evaluate import BudgetedEvaluator
 from repro.dse.fabric import FabricEvaluator
 from repro.obs import get_registry
-from repro.sim.cache_store import SHARD_PREFIX_LEN, SimCacheStore
+from repro.sim.cache_store import SHARD_COUNT, SHARD_PREFIX_LEN, SimCacheStore
 
 MIN_FABRIC_SPEEDUP = 1.5
+MAX_UNIFORM_RATIO = 1.10
 MIN_FRONT_SPEEDUP = 5.0
 
 WORKERS = 4
 N_SLOW = 16
 N_FAST = 240
 SLOW_S = 0.04
+N_UNIFORM = 256
+UNIFORM_S = 0.004
+
+
+def _shard_key(shard: int, idx: int) -> str:
+    """A content-address-shaped key whose shard prefix is ``shard``."""
+    digest = hashlib.sha256(f"straggler-{idx}".encode()).hexdigest()
+    return f"{shard:02x}" + digest[SHARD_PREFIX_LEN:]
 
 
 class StragglerSurrogate:
@@ -63,21 +80,60 @@ class StragglerSurrogate:
 
     def cache_key_for(self, config: dict) -> str:
         shard = 0 if config["slow"] else 64 + (7 * config["idx"]) % 192
-        digest = hashlib.sha256(
-            f"straggler-{config['idx']}".encode()).hexdigest()
-        return f"{shard:02x}" + digest[SHARD_PREFIX_LEN:]
+        return _shard_key(shard, config["idx"])
+
+
+class UniformSurrogate:
+    """Every point sleeps the same and point ``i`` lands on shard ``i``,
+    so each slot owns an equal share of equal work."""
+
+    def evaluate(self, config: dict) -> float:
+        time.sleep(UNIFORM_S)
+        return 0.5 * config["idx"]
+
+    def cache_key_for(self, config: dict) -> str:
+        return _shard_key(config["idx"] % SHARD_COUNT, config["idx"])
 
 
 def _straggler_space() -> "list[dict]":
-    """Slow block first, exactly one PR 2 chunk wide.
-
-    With 256 points and 4 workers the pool's default chunking is
-    ``ceil(256 / 16) = 16`` — the slow block fills chunk 0 end to end,
-    so one worker eats every straggler while the rest go idle.
-    """
+    """Slow block first: every straggler is owned by slot 0."""
     configs = [{"idx": i, "slow": True} for i in range(N_SLOW)]
     configs += [{"idx": N_SLOW + i, "slow": False} for i in range(N_FAST)]
     return configs
+
+
+def _race(off: FabricEvaluator, on: FabricEvaluator, configs: "list[dict]",
+          good_enough) -> "tuple[float, float, np.ndarray, np.ndarray]":
+    """Best-of-3 wall time per leg, legs interleaved.
+
+    Same rationale as the sim-hotpath bench: a load burst on one short
+    window must not fail (or pass) the comparison on its own.  Stops
+    early once ``good_enough(off_s, on_s)`` holds.
+    """
+    warmup = [dict(configs[0], idx=10_000 + i) for i in range(2 * WORKERS)]
+    off.evaluate_batch(warmup)   # spawn both pools before any timing
+    on.evaluate_batch(warmup)
+    off_s = on_s = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        off_costs = off.evaluate_batch(configs)
+        off_s = min(off_s, time.perf_counter() - t0)
+
+        t0 = time.perf_counter()
+        on_costs = on.evaluate_batch(configs)
+        on_s = min(on_s, time.perf_counter() - t0)
+        if good_enough(off_s, on_s):
+            break
+    return off_s, on_s, off_costs, on_costs
+
+
+def _harness_pass(benchmark, fabric: FabricEvaluator,
+                  configs: "list[dict]") -> np.ndarray:
+    """One more steal-on pass under the harness for the canonical
+    metrics record (steal and ``dse.evaluations`` counters land in its
+    snapshot)."""
+    return np.asarray(run_once(
+        benchmark, lambda: BudgetedEvaluator(fabric).evaluate_batch(configs)))
 
 
 def test_fabric_sweep_speedup(benchmark, results_dir):
@@ -85,61 +141,79 @@ def test_fabric_sweep_speedup(benchmark, results_dir):
     surrogate = StragglerSurrogate()
     expected = np.array([0.5 * c["idx"] + (100.0 if c["slow"] else 0.0)
                          for c in configs])
-    warmup = [{"idx": 10_000 + i, "slow": False} for i in range(2 * WORKERS)]
 
-    with ParallelEvaluator(surrogate, workers=WORKERS) as pool, \
+    with FabricEvaluator(surrogate, workers=WORKERS, unit_size=2,
+                         steal=False) as pinned, \
             FabricEvaluator(surrogate, workers=WORKERS,
                             unit_size=2) as fabric:
-        # Spawn both pools before any timing window opens.
-        pool.evaluate_batch(warmup)
-        fabric.evaluate_batch(warmup)
-
-        # Best-of-N per leg, same rationale as the sim-hotpath bench: a
-        # load burst on one short window must not fail (or pass) the
-        # comparison on its own.
-        pool_s = fabric_s = float("inf")
-        for _ in range(3):
-            t0 = time.perf_counter()
-            pool_costs = pool.evaluate_batch(configs)
-            pool_s = min(pool_s, time.perf_counter() - t0)
-
-            t0 = time.perf_counter()
-            fabric_costs = fabric.evaluate_batch(configs)
-            fabric_s = min(fabric_s, time.perf_counter() - t0)
-            if pool_s / fabric_s >= MIN_FABRIC_SPEEDUP:
-                break
-
-        # One more fabric pass under the harness for the canonical
-        # metrics record (steal counters land in its snapshot).
-        harness_costs = run_once(benchmark, fabric.evaluate_batch, configs)
+        pinned_s, fabric_s, pinned_costs, fabric_costs = _race(
+            pinned, fabric, configs,
+            lambda off, on: off / on >= MIN_FABRIC_SPEEDUP)
+        harness_costs = _harness_pass(benchmark, fabric, configs)
 
     steals = get_registry().counter("dse.fabric.steals").value
     assert steals > 0, "straggler shard was never stolen from"
 
     # Scheduling changes wall time only — every leg is bit-identical.
-    assert np.array_equal(pool_costs, expected)
+    assert np.array_equal(pinned_costs, expected)
     assert np.array_equal(fabric_costs, expected)
-    assert np.array_equal(np.asarray(harness_costs), expected)
+    assert np.array_equal(harness_costs, expected)
 
-    speedup = pool_s / fabric_s
+    speedup = pinned_s / fabric_s
     path = update_bench_record(
         benchmark.name,
         n_configs=len(configs),
         n_slow=N_SLOW,
         slow_s=SLOW_S,
         workers=WORKERS,
-        pool_s=pool_s,
-        fabric_s=fabric_s,
+        steal_off_s=pinned_s,
+        steal_on_s=fabric_s,
         speedup=speedup,
         min_speedup=MIN_FABRIC_SPEEDUP,
         steals=steals,
     )
-    print(f"\npool {pool_s:.3f}s  fabric {fabric_s:.3f}s  "
+    print(f"\nsteal-off {pinned_s:.3f}s  steal-on {fabric_s:.3f}s  "
           f"speedup {speedup:.1f}x  steals {steals}  -> {path}")
 
     assert speedup >= MIN_FABRIC_SPEEDUP, (
-        f"fabric sweep only {speedup:.1f}x faster than fixed chunking "
+        f"stealing only {speedup:.1f}x faster than fixed ownership "
         f"(floor {MIN_FABRIC_SPEEDUP}x); see {path}")
+
+
+def test_fabric_uniform_parity(benchmark, results_dir):
+    configs = [{"idx": i} for i in range(N_UNIFORM)]
+    surrogate = UniformSurrogate()
+    expected = np.array([0.5 * c["idx"] for c in configs])
+
+    with FabricEvaluator(surrogate, workers=WORKERS,
+                         steal=False) as pinned, \
+            FabricEvaluator(surrogate, workers=WORKERS) as fabric:
+        pinned_s, fabric_s, pinned_costs, fabric_costs = _race(
+            pinned, fabric, configs,
+            lambda off, on: on / off <= MAX_UNIFORM_RATIO)
+        harness_costs = _harness_pass(benchmark, fabric, configs)
+
+    assert np.array_equal(pinned_costs, expected)
+    assert np.array_equal(fabric_costs, expected)
+    assert np.array_equal(harness_costs, expected)
+
+    ratio = fabric_s / pinned_s
+    path = update_bench_record(
+        benchmark.name,
+        n_configs=len(configs),
+        point_s=UNIFORM_S,
+        workers=WORKERS,
+        steal_off_s=pinned_s,
+        steal_on_s=fabric_s,
+        ratio=ratio,
+        max_ratio=MAX_UNIFORM_RATIO,
+    )
+    print(f"\nsteal-off {pinned_s:.3f}s  steal-on {fabric_s:.3f}s  "
+          f"ratio {ratio:.2f}  -> {path}")
+
+    assert ratio <= MAX_UNIFORM_RATIO, (
+        f"stealing costs {100 * (ratio - 1):.0f}% on a uniform sweep "
+        f"(limit {100 * (MAX_UNIFORM_RATIO - 1):.0f}%); see {path}")
 
 
 N_KEYS = 64

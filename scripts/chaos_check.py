@@ -2,10 +2,10 @@
 
 Two end-to-end checks over the real DSE stack (``docs/ROBUSTNESS.md``):
 
-1. **Fault-injected sweep** — a parallel sweep through
-   :class:`~repro.dse.batch.ParallelEvaluator` with a seeded
+1. **Fault-injected sweep** — a parallel sweep through the process pool
+   (:func:`~repro.dse.fabric.make_pool_evaluator`) with a seeded
    :class:`~repro.resilience.FaultPlan` (a worker crash, a transient
-   failure and a 30 s stall against a 2 s chunk deadline) must produce
+   failure and a 30 s stall against a 2 s unit deadline) must produce
    costs bit-identical to a fault-free serial sweep, with exactly-once
    budget charging on the wrapping
    :class:`~repro.dse.evaluate.BudgetedEvaluator`.
@@ -31,13 +31,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.params import ApplicationProfile, MachineParameters
-from repro.dse.batch import ParallelEvaluator
+from repro.dse.brute import brute_force_search
 from repro.dse.evaluate import (
     BudgetedEvaluator,
     SurrogateEvaluator,
     batch_evaluate,
 )
-from repro.dse.brute import brute_force_search
+from repro.dse.fabric import make_pool_evaluator
 from repro.dse.space import DesignSpace, Parameter
 from repro.laws.gfunction import PowerLawG
 from repro.obs import get_registry
@@ -89,11 +89,14 @@ def check_faulted_sweep(state_dir: Path) -> None:
         Fault(kind="crash", token=config_token(configs[11]),
               worker_only=True),
         Fault(kind="transient", token=config_token(configs[23])),
+        # Twice, in workers only: a unit in flight when the crash hits
+        # dies with the pool, which may burn the first stall before any
+        # deadline; a unit that exhausts its attempts runs in-parent.
         Fault(kind="delay", token=config_token(configs[37]),
-              delay_s=30.0),
+              delay_s=30.0, times=2, worker_only=True),
     ))
-    parallel = ParallelEvaluator(
-        FaultyEvaluator(surrogate, plan), workers=2, chunk_size=8,
+    parallel = make_pool_evaluator(
+        FaultyEvaluator(surrogate, plan), workers=2, unit_size=8,
         chunk_timeout=2.0,
         retry_policy=RetryPolicy(base_delay=0.01, jitter=0.0),
         sleep=lambda s: None)

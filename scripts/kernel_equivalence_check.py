@@ -25,8 +25,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.dse.batch import ParallelEvaluator
 from repro.dse.evaluate import SimulatorEvaluator
+from repro.dse.fabric import make_pool_evaluator
 from repro.sim.config import SimulatedChip
 from repro.sim.kernel import ENV_KERNEL
 from repro.workloads.parsec import parsec_like
@@ -49,7 +49,7 @@ def _sweep(kernel: str, workers: int) -> np.ndarray:
                                cache=None)
     if workers == 1:
         return np.asarray([inner.evaluate(c) for c in CONFIGS])
-    with ParallelEvaluator(inner, workers=workers) as pool:
+    with make_pool_evaluator(inner, workers=workers) as pool:
         return pool.evaluate_batch(CONFIGS)
 
 

@@ -15,14 +15,13 @@
 - :mod:`repro.dse.ga` / :mod:`repro.dse.rsm` — the related-work
   genetic-algorithm and response-surface baselines.
 - :mod:`repro.dse.brute` — exhaustive sweep.
-- :mod:`repro.dse.batch` — the batched + parallel evaluation engine
-  every search method rides on (``evaluate_batch`` protocol, process
-  pool, ``--workers``/``--batch-size`` defaults); contract in
-  ``docs/DSE_PERFORMANCE.md``.
-- :mod:`repro.dse.fabric` — the sharded work-stealing sweep fabric
-  (``--fabric``): deterministic shard ownership over the simulation
-  store's hash ranges, idle-worker stealing for stragglers, and
-  bit-identical results under any steal schedule.
+- :mod:`repro.dse.batch` — batch slicing and the
+  ``--workers``/``--batch-size`` defaults every search method rides on;
+  contract in ``docs/DSE_PERFORMANCE.md``.
+- :mod:`repro.dse.fabric` — the process pool: the sharded work-stealing
+  sweep fabric, with deterministic shard ownership over the simulation
+  store's hash ranges, idle-worker stealing for stragglers, crash and
+  timeout recovery, and bit-identical results under any steal schedule.
 """
 
 from repro.dse.space import DesignSpace, Parameter
@@ -38,15 +37,17 @@ from repro.dse.evaluate import (
 )
 from repro.dse.batch import (
     BatchDefaults,
-    ParallelEvaluator,
     chunked,
     get_batch_defaults,
-    make_pool_evaluator,
     resolve_batch_size,
     resolve_workers,
     set_batch_defaults,
 )
-from repro.dse.fabric import FabricEvaluator, config_shard
+from repro.dse.fabric import (
+    FabricEvaluator,
+    config_shard,
+    make_pool_evaluator,
+)
 from repro.dse.brute import brute_force_search
 from repro.dse.aps import APSExplorer, APSResult
 from repro.dse.ann import ANNPredictorSearch, MLPRegressor
@@ -61,7 +62,6 @@ __all__ = [
     "BudgetedEvaluator",
     "SimulatorEvaluator",
     "SurrogateEvaluator",
-    "ParallelEvaluator",
     "FabricEvaluator",
     "BatchDefaults",
     "batch_evaluate",

@@ -1,17 +1,14 @@
-"""Batched + parallel evaluation engine for design-space exploration.
+"""Batch slicing and the process-wide batch knobs for design-space
+exploration.
 
-Three pieces turn the one-point-at-a-time ``evaluate(config)`` walk into
+Two pieces turn the one-point-at-a-time ``evaluate(config)`` walk into
 the batch pipeline every search method now rides on:
 
 - :func:`chunked` — deterministic batch slicing (input order preserved).
-- :class:`ParallelEvaluator` — fans scalar evaluations (the expensive
-  :class:`~repro.dse.evaluate.SimulatorEvaluator` path) across a
-  ``concurrent.futures`` process pool in chunks, reassembling results in
-  input order; with one worker it degenerates to an inline loop with no
-  pool at all.
 - :class:`BatchDefaults` — the process-wide ``--workers``/``--batch-size``
-  knobs the CLI sets and the search methods resolve against when a call
-  site does not pass explicit values.
+  knobs the CLI sets and the search methods (and the process pool,
+  :class:`~repro.dse.fabric.FabricEvaluator`) resolve against when a
+  call site does not pass explicit values.
 
 Determinism contract: every evaluator is a pure function of the
 configuration, so chunking and worker count change *wall time only* —
@@ -20,39 +17,24 @@ costs, best configurations and budget counts are identical for any
 (``tests/dse/test_batch_equivalence.py`` enforces this differentially).
 
 Budget accounting stays in the parent process: a
-:class:`~repro.dse.evaluate.BudgetedEvaluator` wrapping a
-``ParallelEvaluator`` deduplicates and charges configurations *before*
-dispatch, so workers only ever see configurations that are genuinely
-being paid for.  (Worker-side ``sim.*`` registry metrics accumulate in
-the worker processes and are not merged back — the ``dse.*`` meters the
+:class:`~repro.dse.evaluate.BudgetedEvaluator` wrapping the pool
+deduplicates and charges configurations *before* dispatch, so workers
+only ever see configurations that are genuinely being paid for.
+(Worker-side ``sim.*`` registry metrics accumulate in the worker
+processes and are not merged back — the ``dse.*`` meters the
 experiments rely on are parent-side.)
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-import numpy as np
+from repro.errors import DesignSpaceError
 
-from repro.dse.evaluate import batch_evaluate, is_feasible
-from repro.errors import (
-    DeadlineExceededError,
-    DesignSpaceError,
-    FatalError,
-    ReproError,
-    TransientError,
-)
-from repro.obs import get_registry, get_tracer
-from repro.resilience.policy import Deadline, RetryPolicy, retry_call
-
-__all__ = ["BatchDefaults", "ParallelEvaluator", "chunked",
-           "get_batch_defaults", "set_batch_defaults", "resolve_batch_size",
-           "resolve_workers", "make_pool_evaluator"]
+__all__ = ["BatchDefaults", "chunked", "get_batch_defaults",
+           "set_batch_defaults", "resolve_batch_size", "resolve_workers"]
 
 
 def chunked(items: Iterable, size: int) -> Iterator[list]:
@@ -82,22 +64,13 @@ class BatchDefaults:
         when a search is not told otherwise.  Bounds peak memory of the
         vectorized surrogate path; large enough that NumPy dominates.
     workers:
-        Process count for :class:`ParallelEvaluator` instances that do
-        not pin their own.  ``1`` (the default) means inline, no pool.
-    fabric:
-        Route pooled evaluation through the sharded work-stealing
-        fabric (:class:`~repro.dse.fabric.FabricEvaluator`) instead of
-        fixed chunking — the CLI's ``--fabric`` flag.  Consumed by
-        :func:`make_pool_evaluator`.
-    steal:
-        Work-stealing toggle for fabric evaluators that do not pin
-        their own (the CLI's ``--steal``/``--no-steal``).
+        Process count for :class:`~repro.dse.fabric.FabricEvaluator`
+        instances that do not pin their own.  ``1`` (the default) means
+        inline, no pool.
     """
 
     batch_size: int = 2048
     workers: int = 1
-    fabric: bool = False
-    steal: bool = True
 
 
 _defaults = BatchDefaults()
@@ -109,11 +82,8 @@ def get_batch_defaults() -> BatchDefaults:
 
 
 def set_batch_defaults(*, batch_size: "int | None" = None,
-                       workers: "int | None" = None,
-                       fabric: "bool | None" = None,
-                       steal: "bool | None" = None) -> BatchDefaults:
-    """Update the process-wide knobs (the CLI's ``--batch-size``/``--workers``
-    /``--fabric``/``--steal``).
+                       workers: "int | None" = None) -> BatchDefaults:
+    """Update the process-wide knobs (``--batch-size``/``--workers``).
 
     Only the arguments given change; sizes must be >= 1.  Returns the
     defaults object for convenience.
@@ -127,10 +97,6 @@ def set_batch_defaults(*, batch_size: "int | None" = None,
         if workers < 1:
             raise DesignSpaceError(f"workers must be >= 1, got {workers}")
         _defaults.workers = int(workers)
-    if fabric is not None:
-        _defaults.fabric = bool(fabric)
-    if steal is not None:
-        _defaults.steal = bool(steal)
     return _defaults
 
 
@@ -150,337 +116,3 @@ def resolve_workers(workers: "int | None") -> int:
     if workers < 1:
         raise DesignSpaceError(f"workers must be >= 1, got {workers}")
     return int(workers)
-
-
-def make_pool_evaluator(inner, *, workers: "int | None" = None,
-                        fabric: "bool | None" = None,
-                        steal: "bool | None" = None, **kwargs):
-    """The pooled wrapper the process-wide defaults call for.
-
-    ``fabric``/``steal``/``workers`` default to :class:`BatchDefaults`
-    (what the CLI flags install); extra keyword arguments pass through
-    to the chosen wrapper.  Returns a
-    :class:`~repro.dse.fabric.FabricEvaluator` when the fabric is on,
-    else a :class:`ParallelEvaluator` — both are drop-in
-    batch evaluators with identical results, so call sites never branch.
-    """
-    if fabric is None:
-        fabric = _defaults.fabric
-    if fabric:
-        # Imported lazily — fabric.py imports from this module.
-        from repro.dse.fabric import FabricEvaluator
-        if steal is None:
-            steal = _defaults.steal
-        return FabricEvaluator(inner, workers=workers, steal=steal, **kwargs)
-    return ParallelEvaluator(inner, workers=workers, **kwargs)
-
-
-def _evaluate_chunk(evaluator,
-                    configs: list[dict]) -> "tuple[list[float], float, float]":
-    """Worker-side unit of work: scalar-evaluate one chunk, in order.
-
-    Module-level so the pool can pickle it; the evaluator rides along in
-    the task payload (cheap for the simulator evaluator: a workload
-    spec plus a chip dataclass).
-
-    Returns ``(costs, t_start, exec_s)``: ``t_start`` is the worker's
-    ``perf_counter`` reading when it picked the task up and ``exec_s``
-    the pure evaluation time.  On Linux ``perf_counter`` is
-    ``CLOCK_MONOTONIC`` — comparable across processes — which lets the
-    parent split submit-to-result latency into queue-wait, execute and
-    IPC components (clamped to zero where the clocks disagree).
-    """
-    t_start = time.perf_counter()
-    costs = [float(evaluator.evaluate(c)) for c in configs]
-    return costs, t_start, time.perf_counter() - t_start
-
-
-class ParallelEvaluator:
-    """Fan ``inner.evaluate`` across a process pool, batch-in/batch-out.
-
-    Parameters
-    ----------
-    inner:
-        The wrapped evaluator.  It is pickled with each task, so it must
-        be picklable when ``workers > 1`` (both bundled evaluators are).
-    workers:
-        Process count; ``None`` resolves against
-        :func:`get_batch_defaults` at construction time.  With one
-        worker no pool is created and batches run inline.
-    chunk_size:
-        Configurations per pool task.  ``None`` picks
-        ``ceil(len(batch) / (4 * workers))`` per call — enough tasks
-        that a slow chunk cannot serialize the batch, few enough that
-        pickling does not dominate.
-    retry_policy:
-        Governs chunk resubmission after worker crashes / timeouts /
-        transient errors (default :class:`~repro.resilience.policy.RetryPolicy`).
-    chunk_timeout:
-        Per-chunk deadline in seconds; a chunk that does not complete in
-        time is treated as lost (the pool is rebuilt — running tasks
-        cannot be cancelled) and resubmitted.  ``None`` waits forever.
-    sleep:
-        Backoff hook between recovery rounds — injectable so tests run
-        instantly while recording the deterministic schedule.
-    deadline:
-        Optional overall time budget (a job's, when the server runs
-        sweeps): retry backoffs are clamped to it and recovery rounds
-        stop at expiry with :class:`~repro.errors.DeadlineExceededError`
-        instead of sleeping past it.
-
-    The pool is created lazily on the first parallel batch and reused
-    until :meth:`close` (also a context manager).  Results are
-    reassembled in submission order, so the output array is identical
-    to a sequential loop — only faster.
-
-    Fault tolerance: chunks lost to a dead worker
-    (``BrokenProcessPool``), a per-chunk timeout, or a pickled-back
-    :class:`~repro.errors.TransientError` are resubmitted to a rebuilt
-    pool up to ``retry_policy.max_attempts`` times; beyond that a chunk
-    degrades to serial in-parent evaluation, so one poisoned input
-    cannot sink a sweep.  Because every evaluator is a pure function of
-    the configuration, recovery changes wall time only — results remain
-    bit-identical to a fault-free run.  :class:`~repro.errors.FatalError`
-    (and any exception outside the taxonomy) propagates immediately.
-    """
-
-    def __init__(self, inner, *, workers: "int | None" = None,
-                 chunk_size: "int | None" = None,
-                 retry_policy: "RetryPolicy | None" = None,
-                 chunk_timeout: "float | None" = None,
-                 sleep: Callable[[float], None] = time.sleep,
-                 deadline: "Deadline | None" = None) -> None:
-        self.inner = inner
-        self.deadline = deadline
-        self.workers = resolve_workers(workers)
-        if chunk_size is not None and chunk_size < 1:
-            raise DesignSpaceError(
-                f"chunk size must be >= 1, got {chunk_size}")
-        if chunk_timeout is not None and chunk_timeout <= 0:
-            raise DesignSpaceError(
-                f"chunk timeout must be > 0 or None, got {chunk_timeout}")
-        self.chunk_size = chunk_size
-        self.retry_policy = (retry_policy if retry_policy is not None
-                             else RetryPolicy())
-        self.chunk_timeout = chunk_timeout
-        self._sleep = sleep
-        self._pool: "ProcessPoolExecutor | None" = None
-        registry = get_registry()
-        self._ctr_timeouts = registry.counter("resilience.chunk_timeouts")
-        self._ctr_crashes = registry.counter("resilience.worker_crashes")
-        self._ctr_rebuilds = registry.counter("resilience.pool_rebuilds")
-        self._ctr_serial = registry.counter("resilience.serial_fallbacks")
-        self._ctr_retries = registry.counter("resilience.retries")
-
-    def evaluate(self, config: dict) -> float:
-        """Scalar pass-through (no pool round-trip for one point).
-
-        Transient failures retry in-process under the evaluator's
-        policy; fatal ones propagate.
-        """
-        return retry_call(lambda: float(self.inner.evaluate(config)),
-                          policy=self.retry_policy, sleep=self._sleep,
-                          deadline=self.deadline, what="scalar evaluation")
-
-    def is_feasible(self, config: dict) -> bool:
-        """Delegates to the wrapped evaluator's design-rule check."""
-        return is_feasible(self.inner, config)
-
-    def evaluate_batch(self, configs: Sequence[dict]) -> np.ndarray:
-        """Costs of ``configs`` in input order, computed in parallel."""
-        configs = list(configs)
-        if not configs:
-            return np.empty(0, dtype=float)
-        if self.workers == 1:
-            return self._serial_batch(configs, what="inline batch")
-        chunk_size = self.chunk_size
-        if chunk_size is None:
-            chunk_size = max(1, -(-len(configs) // (4 * self.workers)))
-        chunks = list(chunked(configs, chunk_size))
-        if len(chunks) == 1:
-            return self._serial_batch(configs, what="single-chunk batch")
-        parts = self._run_chunks(chunks)
-        return np.array([cost for part in parts for cost in part],
-                        dtype=float)
-
-    def _serial_batch(self, configs: list[dict], *, what: str) -> np.ndarray:
-        """In-parent batch with transient-failure retries."""
-        return retry_call(lambda: batch_evaluate(self.inner, configs),
-                          policy=self.retry_policy, sleep=self._sleep,
-                          deadline=self.deadline, what=what)
-
-    def _run_chunks(self, chunks: "list[list[dict]]") -> "list[list[float]]":
-        """Dispatch chunks to the pool, recovering lost or failed ones.
-
-        Round-based: each round submits every unfinished chunk, collects
-        results, and classifies failures.  A broken pool or a timed-out
-        chunk forces a pool rebuild (in-flight chunks of that round may
-        be charged an attempt collaterally — the bound still holds
-        because the fallback is exact serial evaluation).  Chunks that
-        exhaust ``retry_policy.max_attempts`` pool attempts degrade to
-        serial in-parent evaluation.
-        """
-        policy = self.retry_policy
-        tracer = get_tracer()
-        n = len(chunks)
-        results: "list[list[float] | None]" = [None] * n
-        attempts = [0] * n
-        remaining = list(range(n))
-        round_no = 0
-        while remaining:
-            round_no += 1
-            pool = self._ensure_pool()
-            # Per-chunk latency decomposition: submit time here, done
-            # time via callback (fires when the result lands, not when
-            # the in-order collection loop gets around to it), worker
-            # start/exec times shipped back in the result tuple.
-            t_submit: "dict[int, float]" = {}
-            t_done: "dict[int, float]" = {}
-            futures = {}
-            for i in remaining:
-                t_submit[i] = time.perf_counter()
-                fut = pool.submit(_evaluate_chunk, self.inner, chunks[i])
-                fut.add_done_callback(
-                    lambda _f, i=i: t_done.setdefault(
-                        i, time.perf_counter()))
-                futures[i] = fut
-            failed: list[int] = []
-            need_rebuild = False
-            for i in remaining:
-                try:
-                    costs, t_start, exec_s = futures[i].result(
-                        timeout=self.chunk_timeout)
-                    results[i] = costs
-                    self._record_chunk_timing(
-                        i, len(chunks[i]), t_submit[i], t_done.get(i),
-                        t_start, exec_s)
-                except FuturesTimeoutError:
-                    self._ctr_timeouts.inc()
-                    tracer.event("resilience.chunk_lost", chunk=i,
-                                 reason="timeout")
-                    failed.append(i)
-                    need_rebuild = True
-                except BrokenExecutor:
-                    self._ctr_crashes.inc()
-                    tracer.event("resilience.chunk_lost", chunk=i,
-                                 reason="crash")
-                    failed.append(i)
-                    need_rebuild = True
-                except TransientError:
-                    tracer.event("resilience.chunk_lost", chunk=i,
-                                 reason="transient")
-                    failed.append(i)
-                except FatalError:
-                    raise
-            if need_rebuild:
-                self._teardown_pool(kill=True)
-                self._ctr_rebuilds.inc()
-            retry_now: list[int] = []
-            serial_now: list[int] = []
-            for i in failed:
-                attempts[i] += 1
-                if attempts[i] >= policy.max_attempts:
-                    serial_now.append(i)
-                else:
-                    retry_now.append(i)
-                    self._ctr_retries.inc()
-            for i in serial_now:
-                # Pool attempts exhausted: the chunk is excluded from the
-                # pool and evaluated in-parent (graceful degradation).
-                self._ctr_serial.inc()
-                tracer.event("resilience.serial_fallback", chunk=i,
-                             attempts=attempts[i])
-                results[i] = list(
-                    self._serial_batch(chunks[i],
-                                       what=f"serial fallback chunk {i}"))
-            remaining = retry_now
-            if remaining:
-                if self.deadline is not None and self.deadline.expired:
-                    raise DeadlineExceededError(
-                        f"job deadline expired with {len(remaining)} "
-                        "chunk(s) still recovering",
-                        timeout_s=self.deadline.timeout_s
-                        if self.deadline.timeout_s is not None
-                        else float("nan"))
-                with tracer.span("resilience.backoff", round=round_no,
-                                 chunks=len(remaining)):
-                    self._sleep(policy.delay(round_no))
-        return [part for part in results if part is not None]
-
-    def _record_chunk_timing(self, chunk: int, size: int, t_submit: float,
-                             t_done: "float | None", t_start: float,
-                             exec_s: float) -> None:
-        """Attribute one completed chunk's latency to three spans.
-
-        ``dse.chunk.queue_wait`` (submit to worker pick-up),
-        ``dse.chunk.execute`` (worker-side evaluation) and
-        ``dse.chunk.ipc`` (the remainder of submit-to-result: task and
-        result pickling plus result-queue transit).  All three are
-        parented under the live ``dse.batch`` span; no-ops while
-        tracing is disabled.
-        """
-        tracer = get_tracer()
-        if not tracer.enabled:
-            return
-        queue_wait = max(0.0, t_start - t_submit)
-        exec_s = max(0.0, exec_s)
-        tracer.record_span("dse.chunk.queue_wait", queue_wait,
-                           chunk=chunk, size=size)
-        tracer.record_span("dse.chunk.execute", exec_s,
-                           chunk=chunk, size=size)
-        if t_done is not None:
-            ipc = max(0.0, (t_done - t_submit) - queue_wait - exec_s)
-            tracer.record_span("dse.chunk.ipc", ipc,
-                               chunk=chunk, size=size)
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
-
-    def _teardown_pool(self, *, kill: bool = False) -> None:
-        """Shut the current pool down, hard-stopping workers if asked.
-
-        ``ProcessPoolExecutor`` cannot cancel a running task, so after a
-        timeout the only way to reclaim the worker is to terminate it;
-        ``shutdown`` then reaps processes and queue threads so nothing
-        leaks across rebuilds.
-        """
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        if kill:
-            procs = getattr(pool, "_processes", None) or {}
-            for proc in list(procs.values()):
-                if proc.is_alive():
-                    proc.terminate()
-        try:
-            pool.shutdown(wait=True, cancel_futures=True)
-        except (OSError, RuntimeError):
-            # A pool whose workers died mid-shutdown can raise while
-            # reaping; the processes are gone either way.
-            pass
-
-    def close(self) -> None:
-        """Shut the pool down and flush the inner evaluator's cache
-        buffer (idempotent, broken-pool safe) — a graceful stop must
-        not strand write-behind entries in memory."""
-        self._teardown_pool()
-        store = getattr(self.inner, "cache", None)
-        flush = getattr(store, "flush", None)
-        if flush is not None:
-            flush()
-
-    def __enter__(self) -> "ParallelEvaluator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC-time best effort
-        try:
-            self.close()
-        except (ReproError, OSError, RuntimeError):
-            # Interpreter teardown: modules may be half-gone; anything
-            # else (e.g. KeyboardInterrupt) should surface.
-            pass

@@ -8,7 +8,7 @@ surrogate, which is the documented substitution).
 The sweep is batched: configurations stream through
 ``BudgetedEvaluator.evaluate_batch`` in ``batch_size`` chunks, so the
 surrogate path vectorizes over NumPy columns and the simulator path can
-fan out across a :class:`~repro.dse.batch.ParallelEvaluator` pool.
+fan out across a :class:`~repro.dse.fabric.FabricEvaluator` pool.
 Design-rule-infeasible points (Eq. 12) are skipped *before* the budget
 is charged — a practitioner never submits a simulation that violates
 the area budget, so they cost nothing in Fig. 12's meter.

@@ -191,8 +191,8 @@ class BudgetedEvaluator:
             self._journal, entries = opened
         elif hasattr(checkpoint, "append_evals"):
             # Any live journal-shaped object attaches directly: a
-            # CheckpointJournal, the fabric's per-shard ShardedJournal,
-            # or a test double — the budget path only ever appends.
+            # CheckpointJournal or a test double — the budget path only
+            # ever appends.
             self._journal = checkpoint
         elif resume:
             self._journal, entries, _states = CheckpointJournal.open_resume(

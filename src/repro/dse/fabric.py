@@ -1,11 +1,10 @@
-"""Sharded sweep fabric: ownership-partitioned scheduling + work-stealing.
+"""The sweep fabric: the one process pool every pooled DSE path uses.
 
-:class:`~repro.dse.batch.ParallelEvaluator` carves a batch into
-fixed-size ordered chunks, so one slow chunk serializes the tail of a
-sweep — the exact straggler pathology the paper's own
-concurrency-over-capacity lens (C-AMAT) warns about in memory systems.
-:class:`FabricEvaluator` replaces the fixed carving with *ownership plus
-stealing*:
+A fixed carving of a batch into ordered chunks lets one slow chunk
+serialize the tail of a sweep — the exact straggler pathology the
+paper's own concurrency-over-capacity lens (C-AMAT) warns about in
+memory systems.  :class:`FabricEvaluator` schedules by *ownership plus
+stealing* instead:
 
 1. **Deterministic sharding** — every configuration hashes to one of
    the :data:`~repro.sim.cache_store.SHARD_COUNT` shards
@@ -19,7 +18,8 @@ stealing*:
    an idle slot steals the *tail half* of the largest remaining backlog
    (``dse.fabric.steals`` counter, ``dse.fabric.steal`` trace events),
    so a straggler shard is finished by everyone instead of serializing
-   the sweep.
+   the sweep.  ``steal=False`` is the fixed-ownership case: each slot
+   only ever drains its own shard range.
 3. **Ordered reassembly** — results land by original batch index, so
    costs are bit-identical for any steal schedule, worker count, or
    crash/recovery sequence (every evaluator is a pure function of the
@@ -35,10 +35,13 @@ computed for shards it does not own are persisted by the *parent* after
 reassembly (``dse.fabric.reconciled``) — the parent is owner of last
 resort, still a single writer per entry at a time.
 
-Fault tolerance mirrors the pool evaluator: a lost unit (worker crash,
-transient error) is re-queued at the front of its owner's backlog on a
-rebuilt pool up to ``retry_policy.max_attempts`` attempts, then degrades
-to exact serial in-parent evaluation — all through the existing
+Fault tolerance: a unit lost to a dead worker, a missed
+``chunk_timeout`` or a pickled-back :class:`~repro.errors.TransientError`
+is re-queued at the front of its owner's backlog on a rebuilt pool up to
+``retry_policy.max_attempts`` attempts, then degrades to exact serial
+in-parent evaluation, so one poisoned input cannot sink a sweep.
+:class:`~repro.errors.FatalError` (and any exception outside the
+taxonomy) propagates immediately.  Every step is published through the
 ``resilience.*`` counters.
 """
 
@@ -48,21 +51,27 @@ import copy
 import hashlib
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor
-from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    BrokenExecutor,
+    CancelledError,
+    ProcessPoolExecutor,
+    wait,
+)
 from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.dse.batch import resolve_workers
 from repro.dse.evaluate import batch_evaluate, canonical_key, is_feasible
 from repro.errors import (
+    DeadlineExceededError,
     DesignSpaceError,
-    FatalError,
     ReproError,
     TransientError,
 )
 from repro.obs import get_registry, get_tracer
-from repro.resilience.policy import RetryPolicy, retry_call
+from repro.resilience.policy import Deadline, RetryPolicy, retry_call
 from repro.sim.cache_store import (
     SHARD_COUNT,
     SHARD_PREFIX_LEN,
@@ -70,8 +79,8 @@ from repro.sim.cache_store import (
     shard_of_key,
 )
 
-__all__ = ["FabricEvaluator", "config_shard", "owner_of_shard",
-           "owned_shards_of"]
+__all__ = ["FabricEvaluator", "config_shard", "make_pool_evaluator",
+           "owner_of_shard", "owned_shards_of"]
 
 
 def config_shard(evaluator, config: dict) -> int:
@@ -112,9 +121,14 @@ def _evaluate_unit(evaluator,
 
     Module-level so the pool can pickle it.  The trailing flush matters:
     slot evaluators carry a write-behind store whose buffer would die
-    with the task otherwise.  Returns ``(costs, t_start, exec_s)`` like
-    :func:`repro.dse.batch._evaluate_chunk` so the parent can decompose
-    latency into the same ``dse.chunk.*`` spans.
+    with the task otherwise.
+
+    Returns ``(costs, t_start, exec_s)``: ``t_start`` is the worker's
+    ``perf_counter`` reading when it picked the task up and ``exec_s``
+    the pure evaluation time.  On Linux ``perf_counter`` is
+    ``CLOCK_MONOTONIC`` — comparable across processes — which lets the
+    parent split submit-to-result latency into queue-wait, execute and
+    IPC components (clamped to zero where the clocks disagree).
     """
     t_start = time.perf_counter()
     costs = [float(evaluator.evaluate(c)) for c in configs]
@@ -123,6 +137,17 @@ def _evaluate_unit(evaluator,
     if flush is not None:
         flush()
     return costs, t_start, time.perf_counter() - t_start
+
+
+def make_pool_evaluator(inner, *, workers: "int | None" = None,
+                        **kwargs) -> "FabricEvaluator":
+    """The pooled wrapper for ``inner``: a :class:`FabricEvaluator`.
+
+    ``workers`` defaults to :class:`~repro.dse.batch.BatchDefaults`
+    (what the CLI's ``--workers`` installs); extra keyword arguments
+    pass through to the fabric.
+    """
+    return FabricEvaluator(inner, workers=workers, **kwargs)
 
 
 class FabricEvaluator:
@@ -140,7 +165,8 @@ class FabricEvaluator:
     steal:
         Enable work-stealing (default).  Disabled, each slot only ever
         drains its own shard range — stragglers serialize again, which
-        is exactly the degraded leg the equivalence suite compares.
+        is exactly the fixed-ownership leg the equivalence suite
+        compares.
     unit_size:
         Configurations per pool task.  ``None`` picks
         ``ceil(len(batch) / (16 * workers))`` — small units keep steals
@@ -149,20 +175,35 @@ class FabricEvaluator:
     write_behind:
         Write-behind buffer size handed to each slot's scoped store
         (``0`` restores write-through in the workers).
-    retry_policy, sleep:
-        Lost-unit resubmission policy and injectable backoff hook, as on
-        :class:`~repro.dse.batch.ParallelEvaluator`.
+    retry_policy:
+        Governs unit resubmission after worker crashes / timeouts /
+        transient errors (default
+        :class:`~repro.resilience.policy.RetryPolicy`).
+    chunk_timeout:
+        Per-unit deadline in seconds from submission; a unit that does
+        not complete in time is treated as lost (the pool is killed and
+        rebuilt — running tasks cannot be cancelled) and re-queued.
+        ``None`` waits forever.
+    sleep:
+        Backoff hook between recovery rounds — injectable so tests run
+        instantly while recording the deterministic schedule.
+    deadline:
+        Optional overall time budget (a job's, when the server runs
+        sweeps): retry backoffs are clamped to it and recovery stops at
+        expiry with :class:`~repro.errors.DeadlineExceededError` instead
+        of sleeping past it.
+
+    The pool is created lazily on the first pooled batch and reused
+    until :meth:`close` (also a context manager).
     """
 
     def __init__(self, inner, *, workers: "int | None" = None,
                  steal: bool = True, unit_size: "int | None" = None,
                  write_behind: int = 64,
                  retry_policy: "RetryPolicy | None" = None,
-                 sleep: Callable[[float], None] = time.sleep) -> None:
-        # Imported here: batch.py's factory imports this module lazily,
-        # and a top-level import either way would be circular-prone.
-        from repro.dse.batch import resolve_workers
-
+                 chunk_timeout: "float | None" = None,
+                 sleep: Callable[[float], None] = time.sleep,
+                 deadline: "Deadline | None" = None) -> None:
         self.inner = inner
         self.workers = resolve_workers(workers)
         if unit_size is not None and unit_size < 1:
@@ -171,11 +212,16 @@ class FabricEvaluator:
         if write_behind < 0:
             raise DesignSpaceError(
                 f"write_behind must be >= 0, got {write_behind}")
+        if chunk_timeout is not None and chunk_timeout <= 0:
+            raise DesignSpaceError(
+                f"chunk timeout must be > 0 or None, got {chunk_timeout}")
         self.steal = bool(steal)
         self.unit_size = unit_size
         self.write_behind = int(write_behind)
         self.retry_policy = (retry_policy if retry_policy is not None
                              else RetryPolicy())
+        self.chunk_timeout = chunk_timeout
+        self.deadline = deadline
         self._sleep = sleep
         self._pool: "ProcessPoolExecutor | None" = None
         self._slot_evaluators: dict = {}
@@ -183,6 +229,7 @@ class FabricEvaluator:
         self._ctr_steals = registry.counter("dse.fabric.steals")
         self._ctr_units = registry.counter("dse.fabric.units")
         self._ctr_reconciled = registry.counter("dse.fabric.reconciled")
+        self._ctr_timeouts = registry.counter("resilience.chunk_timeouts")
         self._ctr_crashes = registry.counter("resilience.worker_crashes")
         self._ctr_rebuilds = registry.counter("resilience.pool_rebuilds")
         self._ctr_serial = registry.counter("resilience.serial_fallbacks")
@@ -191,10 +238,14 @@ class FabricEvaluator:
     # ---- evaluator protocol ----------------------------------------------
 
     def evaluate(self, config: dict) -> float:
-        """Scalar pass-through (no pool round-trip for one point)."""
+        """Scalar pass-through (no pool round-trip for one point).
+
+        Transient failures retry in-process under the evaluator's
+        policy; fatal ones propagate.
+        """
         return retry_call(lambda: float(self.inner.evaluate(config)),
                           policy=self.retry_policy, sleep=self._sleep,
-                          what="scalar evaluation")
+                          deadline=self.deadline, what="scalar evaluation")
 
     def is_feasible(self, config: dict) -> bool:
         """Delegates to the wrapped evaluator's design-rule check."""
@@ -206,16 +257,32 @@ class FabricEvaluator:
         if not configs:
             return np.empty(0, dtype=float)
         if self.workers == 1:
-            return retry_call(lambda: batch_evaluate(self.inner, configs),
-                              policy=self.retry_policy, sleep=self._sleep,
-                              what="inline fabric batch")
+            return self._serial_batch(configs, what="inline batch")
         shards = [config_shard(self.inner, c) for c in configs]
         return self._run_fabric(configs, shards)
+
+    def _serial_batch(self, configs: list, *, what: str) -> np.ndarray:
+        """In-parent batch with transient-failure retries."""
+        return retry_call(lambda: batch_evaluate(self.inner, configs),
+                          policy=self.retry_policy, sleep=self._sleep,
+                          deadline=self.deadline, what=what)
+
 
     # ---- scheduling core --------------------------------------------------
 
     def _run_fabric(self, configs: list, shards: "list[int]") -> np.ndarray:
-        policy = self.retry_policy
+        """Drain every slot's backlog through the pool, recovering lost
+        units.
+
+        A unit is lost when its worker dies, when it misses
+        ``chunk_timeout``, or when it raises a transient error.  A dead
+        worker or a missed timeout kills and rebuilds the pool, and every
+        unit still in flight on it is lost with it (charged an attempt
+        collaterally — the bound still holds because the fallback is
+        exact serial evaluation).  Units that exhaust
+        ``retry_policy.max_attempts`` pool attempts are evaluated
+        in-parent once the pool has drained.
+        """
         tracer = get_tracer()
         n = len(configs)
         out = np.empty(n, dtype=float)
@@ -228,9 +295,35 @@ class FabricEvaluator:
         attempts = [0] * n
         serial_queue: "list[int]" = []
         executed: "list[tuple[int, list[int]]]" = []
+        lost: "list[tuple[int, list[int]]]" = []
         free = set(range(self.workers))
         inflight: dict = {}
         t_done: dict = {}
+
+        def settle(fut) -> bool:
+            """Collect one resolved unit; True when it died with its pool."""
+            slot, indices, t_submit = inflight.pop(fut)
+            free.add(slot)
+            try:
+                costs, t_start, exec_s = fut.result()
+            except (BrokenExecutor, CancelledError):
+                self._ctr_crashes.inc()
+                tracer.event("resilience.chunk_lost", chunk=slot,
+                             reason="crash")
+                lost.append((slot, indices))
+                return True
+            except TransientError:
+                tracer.event("resilience.chunk_lost", chunk=slot,
+                             reason="transient")
+                lost.append((slot, indices))
+                return False
+            for i, cost in zip(indices, costs):
+                out[i] = cost
+            executed.append((slot, indices))
+            self._record_unit_timing(slot, len(indices), t_submit,
+                                     t_done.get(fut), t_start, exec_s)
+            return False
+
         round_no = 0
         pool = self._ensure_pool()
         while True:
@@ -249,74 +342,98 @@ class FabricEvaluator:
             if not inflight:
                 break
             done, _pending = wait(list(inflight),
+                                  timeout=self._wait_s(inflight),
                                   return_when=FIRST_COMPLETED)
-            lost: "list[list[int]]" = []
-            need_rebuild = False
-            for fut in done:
-                slot, indices, t_submit = inflight.pop(fut)
-                free.add(slot)
-                try:
-                    costs, t_start, exec_s = fut.result()
-                except BrokenExecutor:
-                    self._ctr_crashes.inc()
-                    tracer.event("resilience.chunk_lost", chunk=slot,
-                                 reason="crash")
-                    lost.append(indices)
-                    need_rebuild = True
-                    continue
-                except TransientError:
-                    tracer.event("resilience.chunk_lost", chunk=slot,
-                                 reason="transient")
-                    lost.append(indices)
-                    continue
-                except FatalError:
-                    raise
-                for i, cost in zip(indices, costs):
-                    out[i] = cost
-                executed.append((slot, indices))
-                self._record_unit_timing(slot, len(indices), t_submit,
-                                         t_done.get(fut), t_start, exec_s)
+            need_rebuild = any([settle(fut) for fut in done])
+            if self.chunk_timeout is not None:
+                now = time.perf_counter()
+                for fut, (slot, indices, t_submit) in list(inflight.items()):
+                    if now - t_submit >= self.chunk_timeout:
+                        del inflight[fut]
+                        free.add(slot)
+                        self._ctr_timeouts.inc()
+                        tracer.event("resilience.chunk_lost", chunk=slot,
+                                     reason="timeout")
+                        lost.append((slot, indices))
+                        need_rebuild = True
             if need_rebuild:
+                # Killing the pool ends every unit still in flight on it;
+                # the reap resolves their futures, so collect them now
+                # rather than let them break the rebuilt pool later.
                 self._teardown_pool(kill=True)
                 self._ctr_rebuilds.inc()
+                for fut in list(inflight):
+                    settle(fut)
                 pool = self._ensure_pool()
             if lost:
                 round_no += 1
-                requeued = 0
-                for indices in lost:
-                    for i in indices:
-                        attempts[i] += 1
-                    retry_idx = [i for i in indices
-                                 if attempts[i] < policy.max_attempts]
-                    serial_queue.extend(
-                        i for i in indices
-                        if attempts[i] >= policy.max_attempts)
-                    # Lost work goes back to the FRONT of its owner's
-                    # backlog (reversed extendleft preserves order), so
-                    # recovery never reorders evaluation within a shard.
-                    for i in reversed(retry_idx):
-                        backlogs[owner_of_shard(
-                            shards[i], self.workers)].appendleft(i)
-                    requeued += len(retry_idx)
-                if requeued:
-                    self._ctr_retries.inc()
-                    with tracer.span("resilience.backoff", round=round_no,
-                                     chunks=requeued):
-                        self._sleep(policy.delay(round_no))
+                self._recover(lost, attempts, shards, backlogs, serial_queue,
+                              round_no, tracer)
+                lost.clear()
         if serial_queue:
-            order = sorted(set(serial_queue))
-            self._ctr_serial.inc()
-            tracer.event("resilience.serial_fallback", chunk=-1,
-                         attempts=policy.max_attempts)
-            costs = retry_call(
-                lambda: batch_evaluate(self.inner,
-                                       [configs[i] for i in order]),
-                policy=policy, sleep=self._sleep,
-                what="fabric serial fallback")
+            order = sorted(serial_queue)
+            costs = self._serial_batch([configs[i] for i in order],
+                                       what="serial fallback")
             for i, cost in zip(order, costs):
                 out[i] = cost
         self._reconcile(configs, shards, executed, out)
         return out
+
+    def _wait_s(self, inflight: dict) -> "float | None":
+        """How long the scheduler may block before the oldest in-flight
+        unit misses ``chunk_timeout`` (``None``: no timeout)."""
+        if self.chunk_timeout is None:
+            return None
+        oldest = min(t_submit for _slot, _indices, t_submit
+                     in inflight.values())
+        return max(0.0, oldest + self.chunk_timeout - time.perf_counter())
+
+    def _recover(self, lost: "list[tuple[int, list[int]]]",
+                 attempts: "list[int]", shards: "list[int]",
+                 backlogs: "list[deque[int]]", serial_queue: "list[int]",
+                 round_no: int, tracer) -> None:
+        """One recovery round: charge every lost unit an attempt, then
+        re-queue it or degrade it to serial, and back off.
+
+        ``resilience.retries`` counts each re-queued unit and
+        ``resilience.serial_fallbacks`` each unit degraded to in-parent
+        evaluation.  The backoff is checked against the deadline first:
+        when it would outlive the job, raise instead of sleeping.
+        """
+        policy = self.retry_policy
+        requeued = 0
+        for slot, indices in lost:
+            for i in indices:
+                attempts[i] += 1
+            retry = [i for i in indices if attempts[i] < policy.max_attempts]
+            spent = [i for i in indices if attempts[i] >= policy.max_attempts]
+            if retry:
+                requeued += 1
+                self._ctr_retries.inc()
+                # Lost work goes back to the FRONT of its owner's
+                # backlog (reversed appendleft preserves order), so
+                # recovery never reorders evaluation within a shard.
+                for i in reversed(retry):
+                    backlogs[owner_of_shard(
+                        shards[i], self.workers)].appendleft(i)
+            if spent:
+                self._ctr_serial.inc()
+                tracer.event("resilience.serial_fallback", chunk=slot,
+                             attempts=policy.max_attempts)
+                serial_queue.extend(spent)
+        if not requeued:
+            return
+        delay = policy.delay(round_no)
+        remaining = (self.deadline.remaining()
+                     if self.deadline is not None else None)
+        if remaining is not None and delay >= remaining:
+            raise DeadlineExceededError(
+                f"job deadline expires before {requeued} lost unit(s) "
+                "could be resubmitted",
+                timeout_s=self.deadline.timeout_s)
+        with tracer.span("resilience.backoff", round=round_no,
+                         chunks=requeued):
+            self._sleep(delay)
 
     def _next_unit(self, slot: int, backlogs: "list[deque[int]]",
                    unit: int, tracer) -> "list[int]":
@@ -402,9 +519,15 @@ class FabricEvaluator:
     def _record_unit_timing(self, slot: int, size: int, t_submit: float,
                             t_done: "float | None", t_start: float,
                             exec_s: float) -> None:
-        """Same latency decomposition as the pool evaluator's chunks —
-        the profiler buckets (queue_wait / simulation / ipc) apply to
-        fabric units unchanged."""
+        """Attribute one completed unit's latency to three spans.
+
+        ``dse.chunk.queue_wait`` (submit to worker pick-up),
+        ``dse.chunk.execute`` (worker-side evaluation) and
+        ``dse.chunk.ipc`` (the remainder of submit-to-result: task and
+        result pickling plus result-queue transit).  All three are
+        parented under the live ``dse.batch`` span; no-ops while
+        tracing is disabled.
+        """
         tracer = get_tracer()
         if not tracer.enabled:
             return
@@ -427,6 +550,13 @@ class FabricEvaluator:
         return self._pool
 
     def _teardown_pool(self, *, kill: bool = False) -> None:
+        """Shut the current pool down, hard-stopping workers if asked.
+
+        ``ProcessPoolExecutor`` cannot cancel a running task, so after a
+        timeout the only way to reclaim the worker is to terminate it;
+        ``shutdown`` then reaps processes and queue threads so nothing
+        leaks across rebuilds.
+        """
         pool, self._pool = self._pool, None
         if pool is None:
             return
@@ -438,10 +568,14 @@ class FabricEvaluator:
         try:
             pool.shutdown(wait=True, cancel_futures=True)
         except (OSError, RuntimeError):
+            # A pool whose workers died mid-shutdown can raise while
+            # reaping; the processes are gone either way.
             pass
 
     def close(self) -> None:
-        """Shut the pool down and flush the parent-side store buffer."""
+        """Shut the pool down and flush the inner evaluator's cache
+        buffer (idempotent, broken-pool safe) — a graceful stop must
+        not strand write-behind entries in memory."""
         self._teardown_pool()
         store = getattr(self.inner, "cache", None)
         flush = getattr(store, "flush", None)
@@ -458,4 +592,6 @@ class FabricEvaluator:
         try:
             self.close()
         except (ReproError, OSError, RuntimeError):
+            # Interpreter teardown: modules may be half-gone; anything
+            # else (e.g. KeyboardInterrupt) should surface.
             pass

@@ -36,7 +36,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.params import ApplicationProfile, MachineParameters
-from repro.dse.batch import ParallelEvaluator
 from repro.dse.brute import brute_force_search
 from repro.dse.evaluate import (
     BudgetedEvaluator,
@@ -45,6 +44,7 @@ from repro.dse.evaluate import (
     batch_evaluate,
     is_feasible,
 )
+from repro.dse.fabric import make_pool_evaluator
 from repro.dse.space import DesignSpace, Parameter
 from repro.errors import DeadlineExceededError, InvalidParameterError
 from repro.laws.gfunction import PowerLawG
@@ -288,14 +288,15 @@ def run_job(spec: dict, *, checkpoint_path=None, resume: bool = False,
     evaluator = build_evaluator(spec.get("evaluator") or {},
                                 degraded=degraded)
     ev_type = (spec.get("evaluator") or {}).get("type", "surrogate")
-    guard = JobGuard(evaluator, deadline=deadline, on_progress=on_progress)
+    # The pool sits inside the guard: deadline checks and progress
+    # callbacks run in this process, and only the evaluator is pickled.
     pooled = None
-    inner = guard
+    inner = evaluator
     if workers > 1:
-        pooled = ParallelEvaluator(guard, workers=workers,
-                                   deadline=deadline)
-        inner = pooled
-    budget = BudgetedEvaluator(inner, method=str(spec.get("method", "brute")),
+        pooled = inner = make_pool_evaluator(evaluator, workers=workers,
+                                             deadline=deadline)
+    guard = JobGuard(inner, deadline=deadline, on_progress=on_progress)
+    budget = BudgetedEvaluator(guard, method=str(spec.get("method", "brute")),
                                checkpoint=checkpoint_path, resume=resume)
     batch_size = spec.get("batch_size")
     try:

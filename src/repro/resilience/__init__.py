@@ -15,10 +15,6 @@ the three layers that make that true:
   (schema ``c2bound.checkpoint/1``) of every charged evaluation, and
   the replay-based resume every search method inherits through
   :class:`~repro.dse.evaluate.BudgetedEvaluator`;
-- :mod:`repro.resilience.shard_ledger` — the sweep fabric's per-shard
-  exactly-once ledger: the same journal wire format fanned out over
-  ``shard-XXXX.jsonl`` files so a sweep that loses workers mid-flight
-  resumes bit-identically without a single-file serialization point;
 - :mod:`repro.resilience.job_registry` — the job server's durable
   ledger (schema ``c2bound.jobs/1``): admitted jobs and their terminal
   outcomes, replayed on restart so in-flight jobs resume with their
@@ -27,7 +23,7 @@ the three layers that make that true:
   (worker crashes, delays, transient/fatal raises, cache corruption)
   behind ``tests/resilience`` and the chaos CI job.
 
-The consumers are :class:`repro.dse.batch.ParallelEvaluator` (chunk
+The consumers are :class:`repro.dse.fabric.FabricEvaluator` (unit
 resubmission, pool rebuilds, serial fallback) and the CLI
 (``--checkpoint DIR`` / ``--resume``).  Every retry, failover and
 restore is published as a ``resilience.*`` metric and lands in run
@@ -57,11 +53,6 @@ from repro.resilience.job_registry import (
     JobRegistry,
     RegistryReplay,
     replay_registry,
-)
-from repro.resilience.shard_ledger import (
-    DEFAULT_LEDGER_SHARDS,
-    ShardedJournal,
-    shard_of_canonical_key,
 )
 from repro.resilience.faults import (
     CRASH_EXIT_STATUS,
@@ -93,9 +84,6 @@ __all__ = [
     "JobRegistry",
     "RegistryReplay",
     "replay_registry",
-    "DEFAULT_LEDGER_SHARDS",
-    "ShardedJournal",
-    "shard_of_canonical_key",
     "CRASH_EXIT_STATUS",
     "Fault",
     "FaultPlan",

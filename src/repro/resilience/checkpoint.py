@@ -286,11 +286,7 @@ def read_journal_headers(directory: "str | Path") -> "list[dict]":
     """
     directory = Path(directory)
     headers: list[dict] = []
-    # Flat journals plus one directory level of sharded-ledger files
-    # (<dir>/<method>/shard-XXXX.jsonl).
-    paths = sorted(directory.glob("*.jsonl")) + sorted(
-        directory.glob("*/*.jsonl"))
-    for path in paths:
+    for path in sorted(directory.glob("*.jsonl")):
         try:
             with open(path) as handle:
                 first = handle.readline().strip()
@@ -319,20 +315,11 @@ class CheckpointDefaults:
         Restore existing journals instead of truncating them.
     run_id:
         Identifier stamped into journals this process creates.
-    sharded:
-        Use the fabric's per-shard ledger
-        (:class:`~repro.resilience.shard_ledger.ShardedJournal`): each
-        method claims a *directory* of shard journals instead of one
-        file.  The CLI couples this to ``--fabric``.
-    ledger_shards:
-        Shard fan-out for new sharded ledgers.
     """
 
     directory: "Path | None" = None
     resume: bool = False
     run_id: "str | None" = None
-    sharded: bool = False
-    ledger_shards: int = 16
 
 
 _defaults = CheckpointDefaults()
@@ -346,9 +333,7 @@ def get_checkpoint_defaults() -> CheckpointDefaults:
 
 def set_checkpoint_defaults(*, directory: "str | Path | None" = None,
                             resume: bool = False,
-                            run_id: "str | None" = None,
-                            sharded: bool = False,
-                            ledger_shards: int = 16) -> CheckpointDefaults:
+                            run_id: "str | None" = None) -> CheckpointDefaults:
     """Install process-wide checkpoint wiring (CLI / test harness).
 
     Passing ``directory=None`` turns journaling off.  Claim bookkeeping
@@ -358,8 +343,6 @@ def set_checkpoint_defaults(*, directory: "str | Path | None" = None,
     _defaults.directory = Path(directory) if directory is not None else None
     _defaults.resume = bool(resume)
     _defaults.run_id = run_id
-    _defaults.sharded = bool(sharded)
-    _defaults.ledger_shards = int(ledger_shards)
     _claimed_paths.clear()
     return _defaults
 
@@ -378,8 +361,7 @@ def journal_for_method(method: "str | None"):
 
     Returns ``None`` when journaling is off, otherwise
     ``(journal, restored_evals)``.  Each call claims the next free name
-    for the method (``aps.jsonl``, ``aps-2.jsonl``, … — or the
-    directories ``aps/``, ``aps-2/`` when ``sharded``) — deterministic
+    for the method (``aps.jsonl``, ``aps-2.jsonl``, …) — deterministic
     across runs, so a resumed process maps the same searches to the
     same journals it wrote before dying.
     """
@@ -387,20 +369,11 @@ def journal_for_method(method: "str | None"):
     if defaults.directory is None:
         return None
     for stem in _candidate_stems(method):
-        path = (defaults.directory / stem if defaults.sharded
-                else defaults.directory / f"{stem}.jsonl")
+        path = defaults.directory / f"{stem}.jsonl"
         key = str(path)
         if key in _claimed_paths:
             continue
         _claimed_paths.add(key)
-        if defaults.sharded:
-            # Imported lazily: shard_ledger builds on this module.
-            from repro.resilience.shard_ledger import ShardedJournal
-            if defaults.resume:
-                return ShardedJournal.open_resume(path, method=method)
-            return ShardedJournal.create(
-                path, method=method, run_id=defaults.run_id,
-                shard_count=defaults.ledger_shards), []
         if defaults.resume:
             journal, evals, _states = CheckpointJournal.open_resume(
                 path, method=method)

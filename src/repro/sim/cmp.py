@@ -36,7 +36,7 @@ def simulate_chip_cost(chip: SimulatedChip, workload, seed: int) -> float:
     A module-level entry (not a method or closure) so a process pool can
     pickle the ``(chip, workload, seed)`` triple and fan design points
     across workers: this is the unit of work
-    :class:`repro.dse.batch.ParallelEvaluator` dispatches.  Streams are
+    :class:`repro.dse.fabric.FabricEvaluator` dispatches.  Streams are
     drawn from a generator seeded per call, so the cost of a
     configuration is a pure function of its arguments — identical in
     every process.

@@ -3,9 +3,11 @@
 The profiler cannot attribute pool time honestly if a chunk's
 wall-clock is lumped into one span: waiting behind busy workers,
 in-worker simulation and pickling round-trips call for three different
-fixes.  `ParallelEvaluator` therefore records three externally-timed
-spans per completed chunk (``dse.chunk.queue_wait`` / ``execute`` /
-``ipc``) — these tests pin their presence, attrs and additivity.
+fixes.  `FabricEvaluator` therefore records three externally-timed
+spans per completed unit (``dse.chunk.queue_wait`` / ``execute`` /
+``ipc``) — these tests pin their presence, attrs and additivity.  With
+stealing off the unit count is fixed: each slot cuts its own backlog
+into ``unit_size`` pieces.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.dse import ParallelEvaluator, SimulatorEvaluator
+from repro.dse import FabricEvaluator, SimulatorEvaluator
 from repro.obs import configure_tracing, disable_tracing
 from repro.obs.stream import SpanRollup, TraceReader
 from repro.workloads import parsec_like
@@ -54,8 +56,8 @@ class TestChunkSpans:
     def test_pool_run_emits_all_three_per_chunk(self, traced,
                                                 sim_evaluator):
         configs = _configs(8)
-        with ParallelEvaluator(sim_evaluator, workers=2,
-                               chunk_size=2) as pool:
+        with FabricEvaluator(sim_evaluator, workers=2, unit_size=2,
+                             steal=False) as pool:
             costs = pool.evaluate_batch(configs)
         assert np.all(np.isfinite(costs))
         rollup = _rollup(traced)
@@ -70,21 +72,22 @@ class TestChunkSpans:
 
     def test_chunk_spans_carry_chunk_and_size_attrs(self, traced,
                                                     sim_evaluator):
-        with ParallelEvaluator(sim_evaluator, workers=2,
-                               chunk_size=3) as pool:
+        with FabricEvaluator(sim_evaluator, workers=2, unit_size=3,
+                             steal=False) as pool:
             pool.evaluate_batch(_configs(6))
         by_name: "dict[str, list[dict]]" = {}
         for event in TraceReader(traced).read_all():
             if event.get("name") in CHUNK_SPANS:
                 by_name.setdefault(event["name"], []).append(event)
         for name in CHUNK_SPANS:
-            chunks = sorted(e["attrs"]["chunk"] for e in by_name[name])
-            assert chunks == [0, 1]
+            # ``chunk`` names the worker slot that ran the unit.
+            assert len(by_name[name]) == 2
+            assert {e["attrs"]["chunk"] for e in by_name[name]} <= {0, 1}
             assert all(e["attrs"]["size"] == 3 for e in by_name[name])
 
     def test_serial_inline_path_emits_no_chunk_spans(self, traced,
                                                      sim_evaluator):
-        with ParallelEvaluator(sim_evaluator, workers=1) as pool:
+        with FabricEvaluator(sim_evaluator, workers=1) as pool:
             pool.evaluate_batch(_configs(4))
         rollup = _rollup(traced)
         for name in CHUNK_SPANS:
@@ -95,7 +98,7 @@ class TestChunkSpans:
     def test_disabled_tracer_records_nothing(self, tmp_path,
                                              sim_evaluator):
         disable_tracing()
-        with ParallelEvaluator(sim_evaluator, workers=2,
-                               chunk_size=2) as pool:
+        with FabricEvaluator(sim_evaluator, workers=2,
+                             unit_size=2) as pool:
             costs = pool.evaluate_batch(_configs(4))
         assert np.all(np.isfinite(costs))

@@ -16,11 +16,11 @@ import pytest
 
 from repro.core.params import ApplicationProfile, MachineParameters
 from repro.dse import BudgetedEvaluator, SurrogateEvaluator, batch_evaluate
-from repro.dse.batch import make_pool_evaluator, set_batch_defaults
 from repro.dse.evaluate import SimulatorEvaluator, canonical_key
 from repro.dse.fabric import (
     FabricEvaluator,
     config_shard,
+    make_pool_evaluator,
     owned_shards_of,
     owner_of_shard,
 )
@@ -28,12 +28,13 @@ from repro.errors import FatalError
 from repro.laws.gfunction import PowerLawG
 from repro.obs import MetricsRegistry, set_registry
 from repro.resilience import (
+    CheckpointJournal,
     Fault,
     FaultPlan,
     FaultyEvaluator,
     RetryPolicy,
-    ShardedJournal,
     config_token,
+    load_journal,
 )
 from repro.sim.cache_store import SHARD_COUNT, SimCacheStore, shard_of_key
 
@@ -145,20 +146,13 @@ class TestFabricEquivalence:
             assert fabric.evaluate_batch([]).shape == (0,)
             assert fabric.is_feasible(sweep[0]) in (True, False)
 
-    def test_factory_routes_on_fabric_default(self, surrogate):
-        from repro.dse.batch import ParallelEvaluator
-        try:
-            set_batch_defaults(fabric=True, steal=False)
-            fabric = make_pool_evaluator(surrogate, workers=2)
-            assert isinstance(fabric, FabricEvaluator)
-            assert fabric.steal is False
-            fabric.close()
-            set_batch_defaults(fabric=False)
-            pool = make_pool_evaluator(surrogate, workers=2)
-            assert isinstance(pool, ParallelEvaluator)
-            pool.close()
-        finally:
-            set_batch_defaults(fabric=False, steal=True)
+    def test_factory_builds_the_fabric(self, surrogate):
+        with make_pool_evaluator(surrogate, workers=2, steal=False,
+                                 chunk_timeout=5.0) as pool:
+            assert isinstance(pool, FabricEvaluator)
+            assert pool.workers == 2
+            assert pool.steal is False
+            assert pool.chunk_timeout == 5.0
 
 
 class TestFabricRecovery:
@@ -267,19 +261,19 @@ class TestFabricTieredCache:
 
 
 class TestLedgerResume:
-    """Kill-and-resume through the per-shard ledger is exactly-once."""
+    """Kill-and-resume of a fabric sweep through one checkpoint journal is
+    exactly-once."""
 
     def test_interrupted_sweep_resumes_bit_identically(
             self, tmp_path, surrogate, sweep, fresh_registry):
         distinct = len({canonical_key(c) for c in sweep})
         want = batch_evaluate(surrogate, sweep)
 
-        # Uninterrupted reference run, fabric + ledger.
-        ref_dir = tmp_path / "ref-ledger"
+        # Uninterrupted reference run, fabric + journal.
         with FabricEvaluator(surrogate, workers=2, unit_size=4) as fabric:
             budget = BudgetedEvaluator(
-                fabric, checkpoint=ShardedJournal.create(
-                    ref_dir, method="aps", shard_count=4))
+                fabric, checkpoint=CheckpointJournal.create(
+                    tmp_path / "ref.jsonl", method="aps"))
             ref_costs = budget.evaluate_batch(sweep)
             ref_evals = budget.evaluations
             budget.close()
@@ -287,22 +281,21 @@ class TestLedgerResume:
         assert ref_evals == distinct
 
         # Interrupted run: first half only, then the process "dies".
-        led_dir = tmp_path / "ledger"
+        journal = tmp_path / "aps.jsonl"
         half = sweep[:len(sweep) // 2]
         with FabricEvaluator(surrogate, workers=2, unit_size=4) as fabric:
             budget = BudgetedEvaluator(
-                fabric, checkpoint=ShardedJournal.create(
-                    led_dir, method="aps", shard_count=4))
+                fabric, checkpoint=CheckpointJournal.create(
+                    journal, method="aps"))
             budget.evaluate_batch(half)
             budget.close()
 
-        # Resume: restore the ledger union, replay the whole sweep.
+        # Resume: restore the journal, replay the whole sweep.
         fresh_registry.reset()
-        ledger, restored = ShardedJournal.open_resume(led_dir, method="aps")
-        assert restored  # the interrupted half actually journaled
+        assert load_journal(journal)[1]  # the interrupted half journaled
         with FabricEvaluator(surrogate, workers=2, unit_size=1) as fabric:
-            budget = BudgetedEvaluator(fabric, checkpoint=ledger)
-            budget.restore(restored)
+            budget = BudgetedEvaluator(fabric, method="aps",
+                                       checkpoint=journal, resume=True)
             got = budget.evaluate_batch(sweep)
             # Budget counters end exactly where the uninterrupted run's
             # did — replayed charges count as the fresh charges they
@@ -313,8 +306,7 @@ class TestLedgerResume:
         counters = fresh_registry.snapshot()["counters"]
         assert counters["dse.evaluations"] == ref_evals
 
-        # The ledger holds each charged key exactly once.
-        _ledger, final = ShardedJournal.open_resume(led_dir, method="aps")
-        _ledger.close()
+        # The journal holds each charged key exactly once.
+        _header, final, _states = load_journal(journal)
         keys = [k for k, _ in final]
         assert len(keys) == len(set(keys)) == distinct

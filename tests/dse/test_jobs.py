@@ -104,6 +104,22 @@ class TestRunJob:
         assert seen == sorted(seen)
         assert seen[-1] > 0
 
+    def test_pooled_job_matches_inline_and_reports_progress(self):
+        # A closure callback, as the server passes: it cannot be
+        # pickled, so it must stay in this process with the guard.
+        def progress_to(seen):
+            return lambda n: seen.append(n)
+
+        spec = dict(SWEEP)
+        spec["batch_size"] = 8
+        seen_inline: list = []
+        seen_pooled: list = []
+        inline = run_job(spec, workers=1, on_progress=progress_to(seen_inline))
+        pooled = run_job(spec, workers=2, on_progress=progress_to(seen_pooled))
+        assert pooled == inline
+        assert seen_pooled == seen_inline
+        assert seen_pooled[-1] == pooled["evaluations"]
+
 
 class TestJobGuard:
     class Flat:
