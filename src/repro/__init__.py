@@ -26,34 +26,39 @@ Package map
 - :mod:`repro.experiments` — one runner per paper table/figure.
 """
 
-from repro.camat import (
-    AccessTrace,
-    AMATParameters,
-    CAMATParameters,
-    MemoryAccess,
-    TraceAnalyzer,
-    amat,
-    camat,
-    fig1_trace,
-)
-from repro.core import (
-    ApplicationProfile,
-    C2BoundOptimizer,
-    CAMATModel,
-    ChipConfig,
-    DesignPoint,
-    MachineParameters,
-    execution_time,
-    objective_jd,
-    pollack_cpi,
-)
-from repro.laws import (
-    PowerLawG,
-    amdahl_speedup,
-    gustafson_speedup,
-    sun_ni_speedup,
-)
-from repro.errors import ReproError
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.camat import (
+        AccessTrace,
+        AMATParameters,
+        CAMATParameters,
+        MemoryAccess,
+        TraceAnalyzer,
+        amat,
+        camat,
+        fig1_trace,
+    )
+    from repro.core import (
+        ApplicationProfile,
+        C2BoundOptimizer,
+        CAMATModel,
+        ChipConfig,
+        DesignPoint,
+        MachineParameters,
+        execution_time,
+        objective_jd,
+        pollack_cpi,
+    )
+    from repro.laws import (
+        PowerLawG,
+        amdahl_speedup,
+        gustafson_speedup,
+        sun_ni_speedup,
+    )
+    from repro.errors import ReproError
 
 __version__ = "1.0.0"
 
@@ -85,3 +90,5 @@ __all__ = [
     "objective_jd",
     "pollack_cpi",
 ]
+
+__getattr__, __dir__ = attach(__name__, __file__)

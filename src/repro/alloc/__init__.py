@@ -11,8 +11,13 @@ partitioning, and allocating resources among diverse applications."
   marginal miss-rate utility.
 """
 
-from repro.alloc.scheduler import AllocationResult, allocate_cores
-from repro.alloc.partition import PartitionResult, partition_cache
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.alloc.scheduler import AllocationResult, allocate_cores
+    from repro.alloc.partition import PartitionResult, partition_cache
 
 __all__ = [
     "AllocationResult",
@@ -20,3 +25,5 @@ __all__ = [
     "PartitionResult",
     "partition_cache",
 ]
+
+__getattr__, __dir__ = attach(__name__, __file__)

@@ -18,15 +18,20 @@ commit:
   ``python -m repro.analysis`` front end.
 """
 
-from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.engine import LintEngine, LintResult, lint_paths
-from repro.analysis.reporters import (
-    REPORT_SCHEMA,
-    render_json,
-    render_text,
-)
-from repro.analysis.rules import DEFAULT_RULES, Rule, make_rules, rule_catalog
-from repro.analysis.source import Project, SourceFile, load_project
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.analysis.diagnostics import Diagnostic, Severity
+    from repro.analysis.engine import LintEngine, LintResult, lint_paths
+    from repro.analysis.reporters import (
+        REPORT_SCHEMA,
+        render_json,
+        render_text,
+    )
+    from repro.analysis.rules import DEFAULT_RULES, Rule, make_rules, rule_catalog
+    from repro.analysis.source import Project, SourceFile, load_project
 
 __all__ = [
     "Diagnostic",
@@ -45,3 +50,5 @@ __all__ = [
     "SourceFile",
     "load_project",
 ]
+
+__getattr__, __dir__ = attach(__name__, __file__)

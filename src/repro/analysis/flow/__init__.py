@@ -23,9 +23,14 @@ three frames up.  This package supplies the shared machinery the
   analysis between them.
 """
 
-from repro.analysis.flow.callgraph import CallGraph, ClassInfo, FunctionInfo
-from repro.analysis.flow.dataflow import FlowAnalysis, get_flow
-from repro.analysis.flow.summaries import FunctionSummary, SubmitSite
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.analysis.flow.callgraph import CallGraph, ClassInfo, FunctionInfo
+    from repro.analysis.flow.dataflow import FlowAnalysis, get_flow
+    from repro.analysis.flow.summaries import FunctionSummary, SubmitSite
 
 __all__ = [
     "CallGraph",
@@ -36,3 +41,5 @@ __all__ = [
     "FunctionSummary",
     "SubmitSite",
 ]
+
+__getattr__, __dir__ = attach(__name__, __file__)

@@ -29,8 +29,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.analysis.rules.base import dotted_name
-from repro.analysis.source import Project, SourceFile
+from repro.analysis.source import (Project, SourceFile, dotted_name,
+                                   is_type_checking)
 
 __all__ = ["FunctionInfo", "ClassInfo", "ModuleInfo", "CallGraph"]
 
@@ -110,17 +110,21 @@ def _relative_base(source: SourceFile, level: int) -> "tuple[str, ...]":
     return parts[:len(parts) - drop] if drop else parts
 
 
-def module_imports(source: SourceFile) -> "dict[str, str]":
+def module_imports(source: SourceFile,
+                   nodes: "list[ast.stmt] | None" = None) -> "dict[str, str]":
     """Alias -> canonical dotted origin, absolute *and* relative aware.
 
     ``from ..sim import cache_store as cs`` inside ``repro/dse/fabric.py``
-    maps ``cs`` to ``repro.sim.cache_store``.
+    maps ``cs`` to ``repro.sim.cache_store``.  ``nodes`` limits the scan
+    to those statements (default: the whole module).
     """
     aliases: "dict[str, str]" = {}
     tree = source.tree
     if tree is None:
         return aliases
-    for node in ast.walk(tree):
+    scan = (ast.walk(tree) if nodes is None
+            else (sub for stmt in nodes for sub in ast.walk(stmt)))
+    for node in scan:
         if isinstance(node, ast.Import):
             for item in node.names:
                 if item.asname:
@@ -216,7 +220,15 @@ class CallGraph:
                             mod.globals[target.id] = True
                         mod.defs.add(target.id)
         if is_pkg_init and mod.name:
-            for alias, origin in mod.imports.items():
+            # A package that loads its re-exports lazily (repro._lazy)
+            # lists them under `if TYPE_CHECKING:`; that block is its
+            # whole export map, as it is for the runtime resolver.
+            lazy = [stmt for node in tree.body
+                    if isinstance(node, ast.If)
+                    and is_type_checking(node.test)
+                    for stmt in node.body]
+            exported = module_imports(source, lazy) if lazy else mod.imports
+            for alias, origin in exported.items():
                 self.exports[f"{mod.name}.{alias}"] = origin
         self.modules[mod.name] = mod
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.flow.callgraph import (CallGraph, FunctionInfo,
                                            ModuleInfo)
-from repro.analysis.rules.base import dotted_name
+from repro.analysis.source import dotted_name
 
 __all__ = ["SubmitSite", "FunctionSummary", "scan_function",
            "SUBMIT_METHODS", "POOL_MODULES"]

@@ -24,6 +24,7 @@ from repro.analysis.rules.concurrency import (
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.hygiene import (
     BareExceptRule,
+    EagerPackageImportRule,
     ExportsRule,
     MutableDefaultRule,
 )
@@ -36,7 +37,8 @@ from repro.errors import AnalysisError
 __all__ = ["Rule", "DEFAULT_RULES", "make_rules", "rule_catalog",
            "DeterminismRule", "CacheKeyRule", "MetricsCatalogRule",
            "PicklabilityRule", "TraceGuardRule", "BareExceptRule",
-           "MutableDefaultRule", "ExportsRule", "ResilienceRule",
+           "MutableDefaultRule", "ExportsRule", "EagerPackageImportRule",
+           "ResilienceRule",
            "SingleWriterRule", "BoundaryEscapeRule", "HotPathPurityRule",
            "FrontTierHitRule", "AsyncBlockingRule"]
 
@@ -49,6 +51,7 @@ DEFAULT_RULES: "tuple[Type[Rule], ...]" = (
     BareExceptRule,
     MutableDefaultRule,
     ExportsRule,
+    EagerPackageImportRule,
     ResilienceRule,
     SingleWriterRule,
     BoundaryEscapeRule,

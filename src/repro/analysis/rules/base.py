@@ -20,9 +20,9 @@ import ast
 from typing import Iterable, Iterator
 
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.source import Project, SourceFile
+from repro.analysis.source import Project, SourceFile, dotted_name
 
-__all__ = ["Rule", "dotted_name", "walk_imports"]
+__all__ = ["Rule", "walk_imports"]
 
 
 class Rule:
@@ -56,18 +56,6 @@ class Rule:
         return Diagnostic(path=path, line=line, col=col, code=self.code,
                           severity=severity or self.severity,
                           message=message)
-
-
-def dotted_name(node: ast.AST) -> "str | None":
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def walk_imports(tree: ast.Module) -> "dict[str, str]":

@@ -35,8 +35,8 @@ import ast
 from typing import Iterable
 
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.rules.base import Rule, dotted_name
-from repro.analysis.source import Project, SourceFile
+from repro.analysis.rules.base import Rule
+from repro.analysis.source import Project, SourceFile, dotted_name
 
 __all__ = ["CacheKeyRule"]
 

@@ -34,8 +34,8 @@ from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.flow.callgraph import ClassInfo
 from repro.analysis.flow.dataflow import FlowAnalysis, get_flow
 from repro.analysis.flow.summaries import FunctionSummary
-from repro.analysis.rules.base import Rule, dotted_name
-from repro.analysis.source import Project
+from repro.analysis.rules.base import Rule
+from repro.analysis.source import Project, dotted_name
 
 __all__ = ["SingleWriterRule", "BoundaryEscapeRule", "HotPathPurityRule",
            "FrontTierHitRule"]

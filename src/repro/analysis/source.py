@@ -26,7 +26,8 @@ from typing import Iterable, Sequence
 
 from repro.errors import AnalysisError
 
-__all__ = ["SourceFile", "Project", "load_project", "collect_paths"]
+__all__ = ["SourceFile", "Project", "load_project", "collect_paths",
+           "dotted_name", "is_type_checking"]
 
 _SUPPRESS_RE = re.compile(
     r"#\s*c2lint:\s*(disable|disable-file)\s*=\s*([A-Za-z0-9_,\s]+)")
@@ -34,6 +35,24 @@ _SUPPRESS_RE = re.compile(
 #: Directory names never descended into when expanding lint targets.
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache",
               "build", "dist", ".eggs"}
+
+
+def dotted_name(node: ast.AST) -> "str | None":
+    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def is_type_checking(test: ast.expr) -> bool:
+    """Whether an ``if`` test is the ``TYPE_CHECKING`` guard (its body
+    never runs)."""
+    return dotted_name(test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING")
 
 
 def _parse_suppressions(

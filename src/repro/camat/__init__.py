@@ -23,11 +23,16 @@ where a cycle is memory-active iff at least one access is in its hit
 window or has a miss outstanding.
 """
 
-from repro.camat.amat import AMATParameters, amat
-from repro.camat.camat import CAMATParameters, camat, concurrency_ratio
-from repro.camat.trace import AccessTrace, MemoryAccess, fig1_trace
-from repro.camat.phases import Phase, hit_phases, pure_miss_phases
-from repro.camat.analyzer import TraceAnalyzer, TraceStatistics
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.camat.amat import AMATParameters, amat
+    from repro.camat.camat import CAMATParameters, camat, concurrency_ratio
+    from repro.camat.trace import AccessTrace, MemoryAccess, fig1_trace
+    from repro.camat.phases import Phase, hit_phases, pure_miss_phases
+    from repro.camat.analyzer import TraceAnalyzer, TraceStatistics
 
 __all__ = [
     "AMATParameters",
@@ -44,3 +49,5 @@ __all__ = [
     "TraceAnalyzer",
     "TraceStatistics",
 ]
+
+__getattr__, __dir__ = attach(__name__, __file__)

@@ -11,21 +11,26 @@
   case split of Section V.
 """
 
-from repro.capacity.missrate import MissRateCurve, PowerLawMissRate
-from repro.capacity.area import AreaModel
-from repro.capacity.fit import (
-    MissCurvePoint,
-    fit_power_law,
-    measure_miss_curve,
-)
-from repro.capacity.reuse import ReuseProfile, reuse_distances, reuse_profile
-from repro.capacity.workingset import working_set_sizes, working_set_size
-from repro.capacity.problem_size import (
-    BoundednessCase,
-    CapacityBound,
-    classify_boundedness,
-    max_bounded_problem_size,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.capacity.missrate import MissRateCurve, PowerLawMissRate
+    from repro.capacity.area import AreaModel
+    from repro.capacity.fit import (
+        MissCurvePoint,
+        fit_power_law,
+        measure_miss_curve,
+    )
+    from repro.capacity.reuse import ReuseProfile, reuse_distances, reuse_profile
+    from repro.capacity.workingset import working_set_sizes, working_set_size
+    from repro.capacity.problem_size import (
+        BoundednessCase,
+        CapacityBound,
+        classify_boundedness,
+        max_bounded_problem_size,
+    )
 
 __all__ = [
     "MissRateCurve",
@@ -44,3 +49,5 @@ __all__ = [
     "classify_boundedness",
     "max_bounded_problem_size",
 ]
+
+__getattr__, __dir__ = attach(__name__, __file__)

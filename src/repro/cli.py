@@ -21,16 +21,11 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.io.results import ResultTable
-from repro.obs import (
-    Reporter,
-    RunManifest,
-    configure_tracing,
-    get_registry,
-    package_version,
-)
+if TYPE_CHECKING:
+    from repro.io.results import ResultTable
+    from repro.obs import Reporter
 
 __all__ = ["main"]
 
@@ -152,6 +147,8 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[Reporter], ResultTable]]] = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.obs import package_version
+
     parser = argparse.ArgumentParser(
         prog="c2bound",
         description="Regenerate tables/figures of the C2-Bound paper "
@@ -223,6 +220,9 @@ def main(argv: "list[str] | None" = None) -> int:
         from repro.service.cli import main as serve_main
         return serve_main(raw[1:])
     args = _build_parser().parse_args(raw)
+    from repro.obs import (Reporter, RunManifest, configure_tracing,
+                           get_registry)
+
     reporter = Reporter(quiet=args.quiet)
 
     if args.experiment == "list":
@@ -342,6 +342,8 @@ def _cache_command(args, reporter: Reporter, store) -> int:
         reporter.note(f"removed {removed} cached simulation(s) "
                       f"from {store.root}")
         return 0
+    from repro.io.results import ResultTable
+
     table = ResultTable(["field", "value"], title="Simulation cache")
     for field, value in store.stats().items():
         table.add_row(field, value)
@@ -412,6 +414,7 @@ def _finish_lineage(args, manifest, registry) -> None:
 def _characterize_command(args, reporter: Reporter) -> int:
     """Measure a workload's profile and print the model inputs."""
     from repro.characterize import characterize
+    from repro.io.results import ResultTable
     from repro.workloads.parsec import PARSEC_LIKE, parsec_like
 
     if args.workload not in PARSEC_LIKE:

@@ -20,37 +20,42 @@ Public entry points
 - :func:`execution_time` / :func:`objective_jd` — Eq. 7 / Eq. 10.
 """
 
-from repro.core.params import ApplicationProfile, MachineParameters
-from repro.core.chip import ChipConfig
-from repro.core.constraints import AreaBudget, pollack_cpi
-from repro.core.camat_model import CAMATModel, HierarchyLatencies
-from repro.core.objective import (
-    cpu_time,
-    data_stall_time_amat,
-    data_stall_time_camat,
-    execution_time,
-    generalized_objective,
-    objective_jd,
-)
-from repro.core.lagrange import LagrangianSystem
-from repro.core.optimizer import C2BoundOptimizer, DesignPoint, OptimizationResult
-from repro.core.asymmetric import AsymmetricDesign, AsymmetricOptimizer
-from repro.core.energy import (
-    EnergyAwareOptimizer,
-    EnergyReport,
-    PowerModel,
-    energy_of_design,
-)
-from repro.core.thermal import (
-    ThermallyConstrainedOptimizer,
-    ThermalModel,
-    ThermalReport,
-)
-from repro.core.multiphase import (
-    MultiPhaseOptimizer,
-    MultiPhaseResult,
-    PhaseWeight,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.core.params import ApplicationProfile, MachineParameters
+    from repro.core.chip import ChipConfig
+    from repro.core.constraints import AreaBudget, pollack_cpi
+    from repro.core.camat_model import CAMATModel, HierarchyLatencies
+    from repro.core.objective import (
+        cpu_time,
+        data_stall_time_amat,
+        data_stall_time_camat,
+        execution_time,
+        generalized_objective,
+        objective_jd,
+    )
+    from repro.core.lagrange import LagrangianSystem
+    from repro.core.optimizer import C2BoundOptimizer, DesignPoint, OptimizationResult
+    from repro.core.asymmetric import AsymmetricDesign, AsymmetricOptimizer
+    from repro.core.energy import (
+        EnergyAwareOptimizer,
+        EnergyReport,
+        PowerModel,
+        energy_of_design,
+    )
+    from repro.core.thermal import (
+        ThermallyConstrainedOptimizer,
+        ThermalModel,
+        ThermalReport,
+    )
+    from repro.core.multiphase import (
+        MultiPhaseOptimizer,
+        MultiPhaseResult,
+        PhaseWeight,
+    )
 
 __all__ = [
     "ApplicationProfile",
@@ -84,3 +89,5 @@ __all__ = [
     "MultiPhaseResult",
     "MultiPhaseOptimizer",
 ]
+
+__getattr__, __dir__ = attach(__name__, __file__)

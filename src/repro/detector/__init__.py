@@ -15,10 +15,15 @@ test suite), while :class:`EpochDetector` reports per-epoch values for
 phase tracking.
 """
 
-from repro.detector.hcd import HitConcurrencyDetector
-from repro.detector.mcd import MissConcurrencyDetector
-from repro.detector.analyzer_hw import CAMATDetector, DetectorReport
-from repro.detector.epochs import EpochDetector, EpochReport
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.detector.hcd import HitConcurrencyDetector
+    from repro.detector.mcd import MissConcurrencyDetector
+    from repro.detector.analyzer_hw import CAMATDetector, DetectorReport
+    from repro.detector.epochs import EpochDetector, EpochReport
 
 __all__ = [
     "HitConcurrencyDetector",
@@ -28,3 +33,5 @@ __all__ = [
     "EpochDetector",
     "EpochReport",
 ]
+
+__getattr__, __dir__ = attach(__name__, __file__)

@@ -24,35 +24,40 @@
   timeout recovery, and bit-identical results under any steal schedule.
 """
 
-from repro.dse.space import DesignSpace, Parameter
-from repro.dse.evaluate import (
-    BatchEvaluator,
-    BudgetedEvaluator,
-    Evaluator,
-    SimulatorEvaluator,
-    SurrogateEvaluator,
-    batch_evaluate,
-    canonical_key,
-    is_feasible,
-)
-from repro.dse.batch import (
-    BatchDefaults,
-    chunked,
-    get_batch_defaults,
-    resolve_batch_size,
-    resolve_workers,
-    set_batch_defaults,
-)
-from repro.dse.fabric import (
-    FabricEvaluator,
-    config_shard,
-    make_pool_evaluator,
-)
-from repro.dse.brute import brute_force_search
-from repro.dse.aps import APSExplorer, APSResult
-from repro.dse.ann import ANNPredictorSearch, MLPRegressor
-from repro.dse.ga import genetic_search
-from repro.dse.rsm import response_surface_search
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.dse.space import DesignSpace, Parameter
+    from repro.dse.evaluate import (
+        BatchEvaluator,
+        BudgetedEvaluator,
+        Evaluator,
+        SimulatorEvaluator,
+        SurrogateEvaluator,
+        batch_evaluate,
+        canonical_key,
+        is_feasible,
+    )
+    from repro.dse.batch import (
+        BatchDefaults,
+        chunked,
+        get_batch_defaults,
+        resolve_batch_size,
+        resolve_workers,
+        set_batch_defaults,
+    )
+    from repro.dse.fabric import (
+        FabricEvaluator,
+        config_shard,
+        make_pool_evaluator,
+    )
+    from repro.dse.brute import brute_force_search
+    from repro.dse.aps import APSExplorer, APSResult
+    from repro.dse.ann import ANNPredictorSearch, MLPRegressor
+    from repro.dse.ga import genetic_search
+    from repro.dse.rsm import response_surface_search
 
 __all__ = [
     "DesignSpace",
@@ -82,3 +87,5 @@ __all__ = [
     "genetic_search",
     "response_surface_search",
 ]
+
+__getattr__, __dir__ = attach(__name__, __file__)

@@ -21,53 +21,58 @@ event schema):
 - :mod:`repro.obs.report` — ``c2bound report`` / ``diff`` / ``tail``.
 """
 
-from repro.obs.events import (
-    SCHEMA_VERSION,
-    JsonlWriter,
-    read_jsonl,
-    validate_event,
-    validate_trace_file,
-)
-from repro.obs.export import Reporter, timing_table, write_metrics
-from repro.obs.manifest import (
-    MANIFEST_SCHEMA,
-    VOLATILE_KEYS,
-    RunManifest,
-    git_sha,
-    package_version,
-    stable_view,
-)
-from repro.obs.profile import (
-    PROFILE_BUCKETS,
-    PROFILE_SCHEMA,
-    build_profile,
-    profile_trace,
-    write_profile,
-)
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    set_registry,
-)
-from repro.obs.span import (
-    Span,
-    Tracer,
-    configure_tracing,
-    disable_tracing,
-    get_tracer,
-    span,
-    trace_event,
-)
-from repro.obs.stream import (
-    EventBus,
-    MetricFold,
-    ProgressAggregator,
-    SpanRollup,
-    TraceReader,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.obs.events import (
+        SCHEMA_VERSION,
+        JsonlWriter,
+        read_jsonl,
+        validate_event,
+        validate_trace_file,
+    )
+    from repro.obs.export import Reporter, timing_table, write_metrics
+    from repro.obs.manifest import (
+        MANIFEST_SCHEMA,
+        VOLATILE_KEYS,
+        RunManifest,
+        git_sha,
+        package_version,
+        stable_view,
+    )
+    from repro.obs.profile import (
+        PROFILE_BUCKETS,
+        PROFILE_SCHEMA,
+        build_profile,
+        profile_trace,
+        write_profile,
+    )
+    from repro.obs.registry import (
+        Counter,
+        Gauge,
+        Histogram,
+        MetricsRegistry,
+        get_registry,
+        set_registry,
+    )
+    from repro.obs.span import (
+        Span,
+        Tracer,
+        configure_tracing,
+        disable_tracing,
+        get_tracer,
+        span,
+        trace_event,
+    )
+    from repro.obs.stream import (
+        EventBus,
+        MetricFold,
+        ProgressAggregator,
+        SpanRollup,
+        TraceReader,
+    )
 
 __all__ = [
     # registry
@@ -115,3 +120,5 @@ __all__ = [
     "profile_trace",
     "write_profile",
 ]
+
+__getattr__, __dir__ = attach(__name__, __file__)

@@ -30,40 +30,45 @@ restore is published as a ``resilience.*`` metric and lands in run
 manifests.
 """
 
-from repro.resilience.policy import (
-    Deadline,
-    RetryPolicy,
-    deterministic_unit,
-    retry_call,
-)
-from repro.resilience.checkpoint import (
-    CHECKPOINT_SCHEMA,
-    CheckpointDefaults,
-    CheckpointJournal,
-    checkpoint_hash,
-    get_checkpoint_defaults,
-    journal_for_method,
-    load_journal,
-    new_run_id,
-    read_journal_headers,
-    set_checkpoint_defaults,
-)
-from repro.resilience.job_registry import (
-    JOBS_SCHEMA,
-    JobRegistry,
-    RegistryReplay,
-    replay_registry,
-)
-from repro.resilience.faults import (
-    CRASH_EXIT_STATUS,
-    ExitAfter,
-    Fault,
-    FaultInjector,
-    FaultPlan,
-    FaultyEvaluator,
-    config_token,
-    corrupt_cache_entries,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.resilience.policy import (
+        Deadline,
+        RetryPolicy,
+        deterministic_unit,
+        retry_call,
+    )
+    from repro.resilience.checkpoint import (
+        CHECKPOINT_SCHEMA,
+        CheckpointDefaults,
+        CheckpointJournal,
+        checkpoint_hash,
+        get_checkpoint_defaults,
+        journal_for_method,
+        load_journal,
+        new_run_id,
+        read_journal_headers,
+        set_checkpoint_defaults,
+    )
+    from repro.resilience.job_registry import (
+        JOBS_SCHEMA,
+        JobRegistry,
+        RegistryReplay,
+        replay_registry,
+    )
+    from repro.resilience.faults import (
+        CRASH_EXIT_STATUS,
+        ExitAfter,
+        Fault,
+        FaultInjector,
+        FaultPlan,
+        FaultyEvaluator,
+        config_token,
+        corrupt_cache_entries,
+    )
 
 __all__ = [
     "RetryPolicy",
@@ -93,3 +98,5 @@ __all__ = [
     "config_token",
     "corrupt_cache_entries",
 ]
+
+__getattr__, __dir__ = attach(__name__, __file__)

@@ -29,17 +29,22 @@ degrades to cache/analytical answers marked ``degraded`` instead of
 erroring.  See ``docs/SERVICE.md``.
 """
 
-from repro.service.breaker import BreakerState, CircuitBreaker
-from repro.service.queue import AdmissionQueue, QueueEntry
-from repro.service.state import JobRecord, ServiceConfig, ServiceState
-from repro.service.tenants import TenantAccounts, TenantQuota
-from repro.service.wire import (
-    JOB_SCHEMA,
-    RESULT_SCHEMA,
-    JobRequest,
-    canonical_json,
-    parse_job_request,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.service.breaker import BreakerState, CircuitBreaker
+    from repro.service.queue import AdmissionQueue, QueueEntry
+    from repro.service.state import JobRecord, ServiceConfig, ServiceState
+    from repro.service.tenants import TenantAccounts, TenantQuota
+    from repro.service.wire import (
+        JOB_SCHEMA,
+        RESULT_SCHEMA,
+        JobRequest,
+        canonical_json,
+        parse_job_request,
+    )
 
 __all__ = [
     "JOB_SCHEMA",
@@ -57,3 +62,5 @@ __all__ = [
     "ServiceConfig",
     "ServiceState",
 ]
+
+__getattr__, __dir__ = attach(__name__, __file__)

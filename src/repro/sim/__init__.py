@@ -20,22 +20,27 @@ online :mod:`repro.detector` counters and the APC metrics all apply
 directly to simulation output.
 """
 
-from repro.sim.config import (
-    CacheConfig,
-    CoreMicroConfig,
-    DRAMConfig,
-    NoCConfig,
-    SimulatedChip,
-)
-from repro.sim.cache import SetAssociativeCache
-from repro.sim.mshr import MSHRFile
-from repro.sim.dram import DRAMModel
-from repro.sim.noc import MeshNoC
-from repro.sim.core import CoreModel, CoreResult
-from repro.sim.smt import SMTCoreModel
-from repro.sim.prefetch import NextLinePrefetcher, StridePrefetcher
-from repro.sim.hierarchy import MemoryHierarchy
-from repro.sim.cmp import CMPSimulator, SimulationResult
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.sim.config import (
+        CacheConfig,
+        CoreMicroConfig,
+        DRAMConfig,
+        NoCConfig,
+        SimulatedChip,
+    )
+    from repro.sim.cache import SetAssociativeCache
+    from repro.sim.mshr import MSHRFile
+    from repro.sim.dram import DRAMModel
+    from repro.sim.noc import MeshNoC
+    from repro.sim.core import CoreModel, CoreResult
+    from repro.sim.smt import SMTCoreModel
+    from repro.sim.prefetch import NextLinePrefetcher, StridePrefetcher
+    from repro.sim.hierarchy import MemoryHierarchy
+    from repro.sim.cmp import CMPSimulator, SimulationResult
 
 __all__ = [
     "CacheConfig",
@@ -56,3 +61,5 @@ __all__ = [
     "CMPSimulator",
     "SimulationResult",
 ]
+
+__getattr__, __dir__ = attach(__name__, __file__)

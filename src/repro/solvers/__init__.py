@@ -17,16 +17,21 @@ Public API
 - :func:`integer_minimize` — exact minimizer over an integer interval.
 """
 
-from repro.solvers.jacobian import numeric_jacobian
-from repro.solvers.linesearch import backtracking_line_search
-from repro.solvers.newton import NewtonResult, newton_solve
-from repro.solvers.scalar import brent_minimize, golden_section_minimize
-from repro.solvers.grid import (
-    GridResult,
-    grid_minimize,
-    grid_refine_minimize,
-    integer_minimize,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.solvers.jacobian import numeric_jacobian
+    from repro.solvers.linesearch import backtracking_line_search
+    from repro.solvers.newton import NewtonResult, newton_solve
+    from repro.solvers.scalar import brent_minimize, golden_section_minimize
+    from repro.solvers.grid import (
+        GridResult,
+        grid_minimize,
+        grid_refine_minimize,
+        integer_minimize,
+    )
 
 __all__ = [
     "NewtonResult",
@@ -40,3 +45,5 @@ __all__ = [
     "grid_refine_minimize",
     "integer_minimize",
 ]
+
+__getattr__, __dir__ = attach(__name__, __file__)

@@ -14,17 +14,22 @@ memory intensity) match the published characterization of each
 benchmark.
 """
 
-from repro.workloads.base import Workload, WorkloadCharacteristics
-from repro.workloads.matmul import TiledMatMul
-from repro.workloads.stencil import Stencil1D
-from repro.workloads.stencil2d import Stencil2D
-from repro.workloads.spmv import BandSpMV
-from repro.workloads.fft import FFTWorkload
-from repro.workloads.gups import GUPS
-from repro.workloads.synthetic import SyntheticWorkload
-from repro.workloads.parsec import PARSEC_LIKE, parsec_like
-from repro.workloads.phases import PhasedWorkload
-from repro.workloads.simpoint import SimPointSelection, select_simpoints
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.workloads.base import Workload, WorkloadCharacteristics
+    from repro.workloads.matmul import TiledMatMul
+    from repro.workloads.stencil import Stencil1D
+    from repro.workloads.stencil2d import Stencil2D
+    from repro.workloads.spmv import BandSpMV
+    from repro.workloads.fft import FFTWorkload
+    from repro.workloads.gups import GUPS
+    from repro.workloads.synthetic import SyntheticWorkload
+    from repro.workloads.parsec import PARSEC_LIKE, parsec_like
+    from repro.workloads.phases import PhasedWorkload
+    from repro.workloads.simpoint import SimPointSelection, select_simpoints
 
 __all__ = [
     "Workload",
@@ -42,3 +47,5 @@ __all__ = [
     "SimPointSelection",
     "select_simpoints",
 ]
+
+__getattr__, __dir__ = attach(__name__, __file__)

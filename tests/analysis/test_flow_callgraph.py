@@ -37,6 +37,16 @@ PKG = {
             return self.shared()
     ''',
     "pkg/api/__init__.py": "from pkg.util import helper as exported\n",
+    "pkg/lazyapi/__init__.py": '''\
+    from typing import TYPE_CHECKING
+
+    from pkg.loader import attach
+
+    if TYPE_CHECKING:
+        from pkg.util import helper as lazily
+
+    __getattr__, __dir__ = attach(__name__, __file__)
+    ''',
     "pkg/sub/__init__.py": "",
     "pkg/sub/mod.py": '''\
     from ..util import helper as up
@@ -50,6 +60,7 @@ PKG = {
 
     import pkg.util as u
     from pkg.api import exported
+    from pkg.lazyapi import lazily
 
     from . import util
     from .util import Tool, deco
@@ -66,6 +77,10 @@ PKG = {
 
     def via_export():
         return exported()
+
+
+    def via_lazy_export():
+        return lazily()
 
 
     def calls_decorated():
@@ -123,6 +138,34 @@ def test_package_reexport_resolves(flow):
     assert flow.graph.resolve_export("pkg.api.exported") == \
         "pkg.util.helper"
     assert flow.edges["pkg.core.via_export"] == {"pkg.util.helper"}
+
+
+def test_lazy_package_reexport_resolves(flow):
+    # pkg/lazyapi/__init__.py names its re-export under TYPE_CHECKING
+    # (loaded on first use at run time); that block is its export map.
+    assert flow.graph.resolve_export("pkg.lazyapi.lazily") == \
+        "pkg.util.helper"
+    assert flow.edges["pkg.core.via_lazy_export"] == {"pkg.util.helper"}
+    assert "pkg.lazyapi.attach" not in flow.graph.exports
+
+
+def test_repo_flow_keeps_every_reexport_and_edge(repo_root):
+    # Lazy package inits must not cost the flow pass resolution.  The
+    # eager tree resolved 314 re-exports and 1358 call edges; all of
+    # them are kept, plus the C2L104 rule's export and the seven edges
+    # of the code added with it (repro._lazy, C2L104, the export scan).
+    from repro._lazy import _reexports
+    from repro.analysis.flow import get_flow
+    from repro.analysis.source import load_project
+
+    flow = get_flow(load_project([repo_root / "src"], root=repo_root))
+    assert len(flow.graph.exports) == 315
+    assert sum(len(callees) for callees in flow.edges.values()) == 1365
+    for init in (repo_root / "src" / "repro").rglob("__init__.py"):
+        package = ".".join(init.parent.relative_to(repo_root / "src").parts)
+        for name, (module, attr) in _reexports(str(init)).items():
+            assert flow.graph.exports[f"{package}.{name}"] == \
+                f"{module}.{attr}"
 
 
 def test_decorated_function_keeps_def_site_identity(flow):

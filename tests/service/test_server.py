@@ -19,10 +19,21 @@ SPACE = {"params": [
 ]}
 
 
-def payload(tenant="alice", priority=5, deadline_s=None, evaluator=None):
+#: 10,000 points: a job long enough (tens of ms) that back-to-back
+#: submissions always find both run slots busy.
+BIG_SPACE = {"params": [
+    {"name": "a0", "values": list(range(1, 21))},
+    {"name": "a1", "values": list(range(1, 11))},
+    {"name": "a2", "values": list(range(1, 11))},
+    {"name": "n", "values": [4, 8, 16, 32, 64]},
+]}
+
+
+def payload(tenant="alice", priority=5, deadline_s=None, evaluator=None,
+            space=None):
     body = {"schema": "c2bound.job/1", "tenant": tenant,
             "priority": priority,
-            "job": {"kind": "sweep", "space": SPACE}}
+            "job": {"kind": "sweep", "space": space or SPACE}}
     if deadline_s is not None:
         body["deadline_s"] = deadline_s
     if evaluator is not None:
@@ -132,7 +143,8 @@ class TestRoutes:
             accepted, shed = [], []
             for _ in range(30):
                 status, headers, raw = await http(
-                    server.port, "POST", "/v1/jobs", payload(priority=9))
+                    server.port, "POST", "/v1/jobs",
+                    payload(priority=9, space=BIG_SPACE))
                 if status == 202:
                     accepted.append(json.loads(raw)["job_id"])
                 else:
