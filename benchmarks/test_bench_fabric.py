@@ -79,6 +79,8 @@ class StragglerSurrogate:
         return 0.5 * config["idx"] + (100.0 if config["slow"] else 0.0)
 
     def cache_key_for(self, config: dict) -> str:
+        # Equal keys mean equal costs (the fabric evaluates each key
+        # once): the prefix fixes ``slow``, the digest fixes ``idx``.
         shard = 0 if config["slow"] else 64 + (7 * config["idx"]) % 192
         return _shard_key(shard, config["idx"])
 
@@ -92,6 +94,7 @@ class UniformSurrogate:
         return 0.5 * config["idx"]
 
     def cache_key_for(self, config: dict) -> str:
+        # Equal keys mean equal costs: both are functions of ``idx``.
         return _shard_key(config["idx"] % SHARD_COUNT, config["idx"])
 
 

@@ -1,12 +1,19 @@
 """CI check: the sweep fabric never changes a swept cost, anywhere.
 
-Runs one fixed design sweep through every scheduling regime the fabric
-supports — serial loop, stealing on, stealing forced (``unit_size=1``),
+Runs two fixed design sweeps through every scheduling regime the fabric
+supports — inline (one slot), stealing on, stealing forced (``unit_size=1``),
 stealing disabled (fixed ownership), a mid-sweep worker crash, and a
-journaled kill-then-resume round trip — and asserts every cost array is bit-identical (``np.array_equal`` on
-raw float64, no tolerance) with identical ``dse.evaluations``
-accounting.  The steal schedule, crash recovery and resume replay must
-all be invisible in the results (``docs/DSE_PERFORMANCE.md``).
+journaled kill-then-resume round trip — and asserts every cost array is
+bit-identical (``np.array_equal`` on raw float64, no tolerance) to a
+plain per-point loop, with identical ``dse.evaluations`` accounting.  The steal schedule, crash
+recovery and resume replay must all be invisible in the results
+(``docs/DSE_PERFORMANCE.md``).
+
+The sweeps are a 96-point surrogate sweep and a small simulator sweep
+with an ``a0`` axis, which the simulator ignores: its design points
+share content addresses, so it also checks that the fabric's key-once
+step (evaluate each distinct key once, fan the cost out) is invisible,
+and that every leg leaves exactly one store entry per distinct key.
 
 Usage::
 
@@ -21,17 +28,20 @@ import argparse
 import hashlib
 import sys
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from repro.core.params import ApplicationProfile, MachineParameters
 from repro.dse.evaluate import (
     BudgetedEvaluator,
+    SimulatorEvaluator,
     SurrogateEvaluator,
     canonical_key,
 )
-from repro.dse.fabric import FabricEvaluator
+from repro.dse.fabric import FabricEvaluator, config_keys
 from repro.dse.space import DesignSpace, Parameter
 from repro.laws.gfunction import PowerLawG
 from repro.obs import MetricsRegistry, set_registry
@@ -44,6 +54,8 @@ from repro.resilience import (
     config_token,
     load_journal,
 )
+from repro.sim.cache_store import SimCacheStore
+from repro.workloads.parsec import parsec_like
 
 NO_JITTER = RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0.0)
 
@@ -71,6 +83,49 @@ def _configs() -> "list[dict]":
     return [space.config_at(i) for i in range(0, space.size, 7)][:96]
 
 
+def _sim_configs() -> "list[dict]":
+    """36 points over 12 chips: ``a0`` is the innermost axis."""
+    space = DesignSpace([
+        Parameter("n", (1, 2, 4)),
+        Parameter("issue_width", (2, 4)),
+        Parameter("l2_kib", (64.0, 128.0)),
+        Parameter("a0", (0.5, 1.0, 2.0)),
+    ])
+    return [dict(space.config_at(i), l1_kib=16.0, rob_size=32)
+            for i in range(space.size)]
+
+
+@dataclass
+class Case:
+    """One sweep: its design points and a factory for a fresh evaluator
+    whose state (a result store, if any) lives under a given directory."""
+
+    name: str
+    configs: "list[dict]"
+    evaluator: "Callable[[Path], object]"
+
+
+def _cases() -> "list[Case]":
+    surrogate = _surrogate()
+    workload = parsec_like("blackscholes", n_ops=300)
+    return [
+        Case("surrogate", _configs(), lambda root: surrogate),
+        Case("simulator", _sim_configs(),
+             lambda root: SimulatorEvaluator(
+                 workload, seed=5, cache=SimCacheStore(root / "store"))),
+    ]
+
+
+def _store_ok(evaluator, configs: "list[dict]") -> "tuple[bool, str]":
+    """One store entry per distinct key (when the evaluator has a store)."""
+    store = getattr(evaluator, "cache", None)
+    if not isinstance(store, SimCacheStore):
+        return True, ""
+    distinct = len(set(config_keys(evaluator, configs)))
+    entries = SimCacheStore(store.root).stats()["entries"]
+    return entries == distinct, f", entries={entries}/{distinct}"
+
+
 def _leg(builder, configs) -> "tuple[np.ndarray, int, dict]":
     """Run one scheduling regime under a fresh metrics registry.
 
@@ -91,46 +146,47 @@ def _leg(builder, configs) -> "tuple[np.ndarray, int, dict]":
         set_registry(previous)
 
 
-def check_legs(state_dir: Path, workers: int) -> "tuple[np.ndarray, int, bool]":
-    configs = _configs()
-    surrogate = _surrogate()
+def check_legs(case: Case, state_dir: Path,
+               workers: int) -> "tuple[np.ndarray, int, bool]":
+    configs = case.configs
     plan = FaultPlan(seed=5, state_dir=str(state_dir / "fuse"), faults=(
         Fault(kind="crash", token=config_token(configs[17]),
               worker_only=True),))
-    crashy = FaultyEvaluator(surrogate, plan)
 
     legs = {
-        "serial": lambda: FabricEvaluator(surrogate, workers=1),
-        "fabric steal=on": lambda: FabricEvaluator(
-            surrogate, workers=workers),
-        "fabric steal forced": lambda: FabricEvaluator(
-            surrogate, workers=workers, unit_size=1),
-        "fabric steal=off": lambda: FabricEvaluator(
-            surrogate, workers=workers, steal=False),
-        "fabric worker crash": lambda: FabricEvaluator(
-            crashy, workers=workers, unit_size=8,
+        "serial": lambda ev: FabricEvaluator(ev, workers=1),
+        "fabric steal=on": lambda ev: FabricEvaluator(ev, workers=workers),
+        "fabric steal forced": lambda ev: FabricEvaluator(
+            ev, workers=workers, unit_size=1),
+        "fabric steal=off": lambda ev: FabricEvaluator(
+            ev, workers=workers, steal=False),
+        "fabric worker crash": lambda ev: FabricEvaluator(
+            FaultyEvaluator(ev, plan), workers=workers, unit_size=8,
             retry_policy=NO_JITTER, sleep=lambda s: None),
     }
 
-    reference = evals_ref = None
+    # The reference is a plain per-point loop: no fabric, no batching.
+    loop = case.evaluator(state_dir / "loop")
+    reference = np.array([float(loop.evaluate(c)) for c in configs])
+    evals_ref = len({canonical_key(c) for c in configs})
     failed = False
-    for label, builder in legs.items():
-        costs, evals, counters = _leg(builder, configs)
-        if reference is None:
-            reference, evals_ref = costs, evals
-        ok = (np.array_equal(costs, reference) and evals == evals_ref
+    for n, (label, builder) in enumerate(legs.items()):
+        evaluator = case.evaluator(state_dir / f"leg-{n}")
+        costs, evals, counters = _leg(lambda: builder(evaluator), configs)
+        ok, detail = _store_ok(evaluator, configs)
+        ok = (ok and np.array_equal(costs, reference) and evals == evals_ref
               and counters["dse.evaluations"] == evals_ref)
-        detail = ""
         if "forced" in label:
             steals = counters.get("dse.fabric.steals", 0)
-            detail = f" (steals={steals})"
+            detail += f", steals={steals}"
             ok = ok and steals > 0
         elif label == "fabric steal=off":
             ok = ok and not counters.get("dse.fabric.steals")
         elif "crash" in label:
-            detail = (f" (crashes="
-                      f"{counters.get('resilience.worker_crashes', 0)})")
+            detail += (f", crashes="
+                       f"{counters.get('resilience.worker_crashes', 0)}")
             ok = ok and counters.get("resilience.worker_crashes")
+        detail = f" ({detail[2:]})" if detail else ""
         print(f"  {label}: {'OK' if ok else 'DIVERGED'}{detail}")
         if not ok:
             failed = True
@@ -143,17 +199,17 @@ def check_legs(state_dir: Path, workers: int) -> "tuple[np.ndarray, int, bool]":
     return reference, evals_ref, failed
 
 
-def check_kill_and_resume(state_dir: Path, workers: int,
+def check_kill_and_resume(case: Case, state_dir: Path, workers: int,
                           reference: np.ndarray, evals_ref: int) -> bool:
     """Journaled fabric sweep killed halfway, then resumed exactly-once."""
-    configs = _configs()
-    surrogate = _surrogate()
+    configs = case.configs
+    evaluator = case.evaluator(state_dir / "resume")
     registry = MetricsRegistry()
     previous = set_registry(registry)
     try:
         journal = state_dir / "brute.jsonl"
         half = configs[:len(configs) // 2]
-        with FabricEvaluator(surrogate, workers=workers) as fabric:
+        with FabricEvaluator(evaluator, workers=workers) as fabric:
             budget = BudgetedEvaluator(
                 fabric, checkpoint=CheckpointJournal.create(journal,
                                                             method="brute"))
@@ -166,7 +222,7 @@ def check_kill_and_resume(state_dir: Path, workers: int,
             print("  kill-and-resume: DIVERGED (interrupted half "
                   "journaled nothing)")
             return True
-        with FabricEvaluator(surrogate, workers=workers,
+        with FabricEvaluator(evaluator, workers=workers,
                              unit_size=1) as fabric:
             budget = BudgetedEvaluator(fabric, method="brute",
                                        checkpoint=journal, resume=True)
@@ -178,12 +234,13 @@ def check_kill_and_resume(state_dir: Path, workers: int,
         _header, final, _states = load_journal(journal)
         keys = [k for k, _ in final]
         distinct = len({canonical_key(c) for c in configs})
-        ok = (np.array_equal(costs, reference)
+        ok, detail = _store_ok(evaluator, configs)
+        ok = (ok and np.array_equal(costs, reference)
               and evals == evals_ref
               and counters["dse.evaluations"] == evals_ref
               and len(keys) == len(set(keys)) == distinct)
         print(f"  kill-and-resume: {'OK' if ok else 'DIVERGED'} "
-              f"(restored={len(restored)}, journaled={len(keys)})")
+              f"(restored={len(restored)}, journaled={len(keys)}{detail})")
         if not ok and evals != evals_ref:
             print(f"    resumed run charged {evals} evaluations, "
                   f"uninterrupted charged {evals_ref}")
@@ -205,12 +262,18 @@ def main(argv: "list[str] | None" = None) -> int:
                  else Path(tempfile.mkdtemp(prefix="fabric-eq-")))
     state_dir.mkdir(parents=True, exist_ok=True)
 
-    reference, evals_ref, failed = check_legs(state_dir, args.workers)
-    failed |= check_kill_and_resume(state_dir, args.workers,
-                                    reference, evals_ref)
-    digest = hashlib.sha256(np.asarray(reference).tobytes()).hexdigest()
-    print(f"{len(_configs())} design points, {evals_ref} evaluations, "
-          f"costs sha256[:16]={digest[:16]}")
+    failed = False
+    for case in _cases():
+        print(f"{case.name} sweep:")
+        case_dir = state_dir / case.name
+        reference, evals_ref, diverged = check_legs(case, case_dir,
+                                                    args.workers)
+        diverged |= check_kill_and_resume(case, case_dir, args.workers,
+                                          reference, evals_ref)
+        failed |= diverged
+        digest = hashlib.sha256(np.asarray(reference).tobytes()).hexdigest()
+        print(f"{len(case.configs)} design points, {evals_ref} evaluations, "
+              f"costs sha256[:16]={digest[:16]}")
     if failed:
         print("fabric equivalence FAILED", file=sys.stderr)
         return 1

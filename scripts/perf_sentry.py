@@ -12,7 +12,7 @@ memory of how fast it used to be.  This script is that memory:
 - ``check`` compares the current records against the history's recent
   median per benchmark, with a **noise band** derived from the
   history's own spread (median absolute deviation), and exits
-  non-zero on any regression — this is the CI gate.
+  non-zero on any regression or workload drift — this is the CI gate.
 
 The band is ``max(3 * MAD / median, FLOOR)`` capped at ``CEIL``: a
 noisy benchmark earns itself a wider band, a stable one is held to the
@@ -23,8 +23,10 @@ fixture test in ``tests/test_perf_sentry.py`` pins that property.
 
 A benchmark whose *workload* changed (different ``dse.evaluations`` /
 ``sim.instructions`` signature than the history) is reported as
-drifted and skipped, not failed: comparing its wall time against the
-old workload's would be meaningless.  Re-baseline with ``update``.
+drifted and not compared — its wall time against the old workload's
+would be meaningless — but ``check`` still fails and names it: a gate
+that silently skips a bench is inert.  The change that alters a
+bench's workload re-baselines it with ``update`` in the same commit.
 
 Usage::
 
@@ -59,9 +61,20 @@ WORK_KEYS = ("dse.evaluations", "sim.runs", "sim.instructions",
              "solver.newton.solves")
 
 
+def _nonzero(work: dict) -> dict:
+    """A work signature without its zero counts.
+
+    The harness snapshots every counter the session has registered, so
+    whether a zero appears depends on which benches ran before; a zero
+    count and an absent one both mean no such work.
+    """
+    return {key: value for key, value in work.items() if value}
+
+
 def _work_signature(metrics: dict) -> dict:
     counters = metrics.get("counters", {}) if metrics else {}
-    return {key: counters[key] for key in WORK_KEYS if key in counters}
+    return _nonzero({key: counters[key] for key in WORK_KEYS
+                     if key in counters})
 
 
 def load_bench_records(results_dir: Path) -> "list[dict]":
@@ -134,8 +147,8 @@ def check_record(record: dict, history: "list[dict]",
     if not recent:
         result["status"] = "new"
         return result
-    baseline_work = recent[-1].get("work", {})
-    if record["work"] != baseline_work:
+    baseline_work = _nonzero(recent[-1].get("work", {}))
+    if _nonzero(record["work"]) != baseline_work:
         result["status"] = "workload_drift"
         result["work"] = record["work"]
         result["baseline_work"] = baseline_work
@@ -160,12 +173,15 @@ def run_check(results_dir: Path, baselines: Path,
                            window=window)
               for record in records]
     regressions = [c for c in checks if c["status"] == "regression"]
+    drifted = [c["bench"] for c in checks
+               if c["status"] == "workload_drift"]
     return {
         "results_dir": str(results_dir),
         "baselines": str(baselines),
         "window": window,
         "checked": len(checks),
         "regressions": len(regressions),
+        "drifted": drifted,
         "checks": checks,
     }
 
@@ -228,11 +244,14 @@ def main(argv: "list[str] | None" = None) -> int:
           f"{args.baselines}")
     for check in report["checks"]:
         print(_format_check(check))
+    if report["drifted"]:
+        print(f"perf_sentry: workload drift in "
+              f"{', '.join(report['drifted'])}; re-baseline with `update` "
+              "in the change that altered the workload", file=sys.stderr)
     if report["regressions"]:
         print(f"perf_sentry: {report['regressions']} regression(s)",
               file=sys.stderr)
-        return 1
-    return 0
+    return 1 if report["regressions"] or report["drifted"] else 0
 
 
 if __name__ == "__main__":

@@ -25,8 +25,9 @@ It also checks the structural anchors the whole scheme rests on:
   ``SHARD_PREFIX_LEN`` is a literal int, ``SHARD_COUNT`` equals
   ``16 ** SHARD_PREFIX_LEN``, ``shard_of_key`` parses exactly that hex
   prefix, ``path_for`` carves directories by the same constant (no
-  re-introduced magic width), and ``sim_cache_key`` still emits
-  SHA-256 *hex* — the property the prefix arithmetic rests on.
+  re-introduced magic width), and ``sim_cache_keys`` (the one key
+  builder) still emits SHA-256 *hex* — the property the prefix
+  arithmetic rests on.
 """
 
 from __future__ import annotations
@@ -292,16 +293,16 @@ class CacheKeyRule(Rule):
                     "shard_of_key() must parse the key prefix with "
                     "int(..., 16); any other derivation breaks the "
                     "prefix <-> shard-directory correspondence")
-        key_fn = _find_function(store.tree, "sim_cache_key")
+        key_fn = _find_function(store.tree, "sim_cache_keys")
         if key_fn is None:
             yield self.diag(
                 store, store.tree,
-                "sim/cache_store.py must define sim_cache_key(); the "
-                "content-hash entry point has moved or been renamed")
+                "sim/cache_store.py must define sim_cache_keys(); the "
+                "content-hash builder has moved or been renamed")
         elif not {"sha256", "hexdigest"} <= _calls_in(key_fn):
             yield self.diag(
                 store, key_fn,
-                "sim_cache_key() must produce sha256(...).hexdigest(): "
+                "sim_cache_keys() must produce sha256(...).hexdigest(): "
                 "shard_of_key()'s int(prefix, 16) is only uniform over "
                 "hex digests")
         path_fn = _find_method(store.tree, "path_for")

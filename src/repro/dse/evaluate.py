@@ -514,38 +514,70 @@ class SimulatorEvaluator:
         self.kib_per_area_unit = kib_per_area_unit
         self.cache = resolve_store(cache)
 
-    def chip_for(self, config: dict) -> SimulatedChip:
-        """The simulator configuration a design point maps to."""
-        from dataclasses import replace
-
-        n = int(config.get("n", self.base_chip.n_cores))
-        issue = int(config.get("issue_width", self.base_chip.core.issue_width))
-        rob = int(config.get("rob_size", self.base_chip.core.rob_size))
+    def _chip_params(self, config: dict) -> tuple:
+        """The values :meth:`chip_for` reads from a configuration, each
+        converted to the type the chip stores, so equal tuples build
+        chips with equal fingerprints."""
+        base = self.base_chip
         l1_kib = float(config.get(
             "l1_kib", config.get("a1", 0.5) * self.kib_per_area_unit))
         l2_kib = float(config.get(
             "l2_kib", config.get("a2", 8.0) * self.kib_per_area_unit))
+        return (int(config.get("n", base.n_cores)),
+                int(config.get("issue_width", base.core.issue_width)),
+                int(config.get("rob_size", base.core.rob_size)),
+                max(l1_kib, 1.0), max(l2_kib, 2.0))
+
+    def _chip(self, params: tuple) -> SimulatedChip:
+        from dataclasses import replace
+
+        n, issue, rob, l1_kib, l2_kib = params
         return replace(
             self.base_chip,
             n_cores=n,
             core=CoreMicroConfig(issue_width=issue, rob_size=rob),
-            l1=replace(self.base_chip.l1, size_kib=max(l1_kib, 1.0)),
-            l2_slice=replace(self.base_chip.l2_slice,
-                             size_kib=max(l2_kib, 2.0)),
+            l1=replace(self.base_chip.l1, size_kib=l1_kib),
+            l2_slice=replace(self.base_chip.l2_slice, size_kib=l2_kib),
         )
+
+    def chip_for(self, config: dict) -> SimulatedChip:
+        """The simulator configuration a design point maps to."""
+        return self._chip(self._chip_params(config))
+
+    def cache_keys_for(self, configs: Sequence[dict]) -> "list[str]":
+        """Content addresses of many configurations, keyed in one pass.
+
+        Configurations that map to the same chip (``a0`` variants, say)
+        share one chip object, so
+        :func:`~repro.sim.cache_store.sim_cache_keys` fingerprints each
+        distinct chip once and the workload and seed once per call.
+        """
+        from repro.sim.cache_store import sim_cache_keys
+
+        shared: "dict[tuple, SimulatedChip]" = {}
+        chips = []
+        for config in configs:
+            params = self._chip_params(config)
+            chip = shared.get(params)
+            if chip is None:
+                chip = shared[params] = self._chip(params)
+            chips.append(chip)
+        return sim_cache_keys(chips, self.workload, self.seed)
 
     def cache_key_for(self, config: dict) -> str:
         """Content address of this configuration's simulation result.
 
-        The same key :func:`~repro.sim.cache_store.sim_cache_key`
-        derives inside the cached evaluation path, exposed so the sweep
-        fabric can shard design points by the *store's* own hash ranges
-        — fabric ownership and disk-shard ownership then coincide, and
-        the owning worker is the only writer of its shard directories.
-        Computable whether or not a store is attached.
+        The contract every ``cache_key_for`` keeps: equal keys mean
+        equal costs.  The store persists costs under this key, and the
+        sweep fabric evaluates each distinct key of a batch once and
+        shards design points by the *store's* own hash ranges — fabric
+        ownership and disk-shard ownership then coincide, and the owning
+        worker is the only writer of its shard directories.  The same
+        key :func:`~repro.sim.cache_store.sim_cache_key` derives inside
+        the cached evaluation path; computable whether or not a store
+        is attached.
         """
-        from repro.sim.cache_store import sim_cache_key
-        return sim_cache_key(self.chip_for(config), self.workload, self.seed)
+        return self.cache_keys_for([config])[0]
 
     def cache_provenance(self) -> dict:
         """The provenance fields a persisted entry carries (see

@@ -6,21 +6,29 @@ paper's own concurrency-over-capacity lens (C-AMAT) warns about in
 memory systems.  :class:`FabricEvaluator` schedules by *ownership plus
 stealing* instead:
 
-1. **Deterministic sharding** — every configuration hashes to one of
-   the :data:`~repro.sim.cache_store.SHARD_COUNT` shards
-   (:func:`config_shard`).  When the inner evaluator exposes
-   ``cache_key_for`` (the simulator path) the shard is the *store's own*
-   hash prefix, so fabric ownership coincides with disk-shard ownership:
-   each worker slot owns a contiguous shard range
-   (:func:`owner_of_shard`) and is the only writer of those shard
+1. **Key once, evaluate each key once** — the parent keys the whole
+   batch in one pass (:func:`config_keys`).  When the inner evaluator
+   exposes ``cache_keys_for``/``cache_key_for`` (the simulator path) the
+   key is the content address the store persists the cost under, whose
+   contract is that equal keys mean equal costs; otherwise it is a hash
+   of the canonical configuration.  Only the first configuration of
+   each key is dispatched, and its cost is copied to every duplicate
+   index (a simulated sweep over ``a0``, which the simulator ignores,
+   asks for each chip many times).
+2. **Deterministic sharding** — every key names one of the
+   :data:`~repro.sim.cache_store.SHARD_COUNT` shards
+   (:func:`~repro.sim.cache_store.shard_of_key`).  On the simulator path
+   that is the *store's own* hash prefix, so fabric ownership coincides
+   with disk-shard ownership: each worker slot owns a contiguous shard
+   range (:func:`owner_of_shard`) and is the only writer of those shard
    directories — single-writer by construction, no cross-process locks.
-2. **Work-stealing** — each slot drains its own backlog in input order;
+3. **Work-stealing** — each slot drains its own backlog in input order;
    an idle slot steals the *tail half* of the largest remaining backlog
    (``dse.fabric.steals`` counter, ``dse.fabric.steal`` trace events),
    so a straggler shard is finished by everyone instead of serializing
    the sweep.  ``steal=False`` is the fixed-ownership case: each slot
    only ever drains its own shard range.
-3. **Ordered reassembly** — results land by original batch index, so
+4. **Ordered reassembly** — results land by original batch index, so
    costs are bit-identical for any steal schedule, worker count, or
    crash/recovery sequence (every evaluator is a pure function of the
    configuration).  ``tests/dse/test_fabric.py`` and
@@ -72,31 +80,39 @@ from repro.errors import (
 )
 from repro.obs import get_registry, get_tracer
 from repro.resilience.policy import Deadline, RetryPolicy, retry_call
-from repro.sim.cache_store import (
-    SHARD_COUNT,
-    SHARD_PREFIX_LEN,
-    SimCacheStore,
-    shard_of_key,
-)
+from repro.sim.cache_store import SHARD_COUNT, SimCacheStore, shard_of_key
 
-__all__ = ["FabricEvaluator", "config_shard", "make_pool_evaluator",
-           "owner_of_shard", "owned_shards_of"]
+__all__ = ["FabricEvaluator", "config_keys", "config_shard",
+           "make_pool_evaluator", "owner_of_shard", "owned_shards_of"]
+
+
+def config_keys(evaluator, configs: Sequence[dict]) -> "list[str]":
+    """Content address of every configuration under an evaluator, in one
+    pass.
+
+    Prefers the evaluator's own keys — a batch ``cache_keys_for``, else
+    a per-configuration ``cache_key_for`` (the simulator path) — so
+    fabric ownership and disk-shard ownership agree.  Evaluators
+    without either fall back to a SHA-256 of the canonical
+    configuration: just as deterministic, merely unrelated to any
+    on-disk layout.  Either way equal keys mean equal costs, which is
+    what lets :meth:`FabricEvaluator.evaluate_batch` evaluate each key
+    once.
+    """
+    batch = getattr(evaluator, "cache_keys_for", None)
+    if batch is not None:
+        return list(batch(configs))
+    hook = getattr(evaluator, "cache_key_for", None)
+    if hook is not None:
+        return [hook(c) for c in configs]
+    return [hashlib.sha256(repr(canonical_key(c)).encode()).hexdigest()
+            for c in configs]
 
 
 def config_shard(evaluator, config: dict) -> int:
-    """Deterministic shard index of a configuration under an evaluator.
-
-    Prefers the evaluator's own content address (``cache_key_for``, the
-    simulator path) so fabric ownership and disk-shard ownership agree.
-    Evaluators without the hook fall back to hashing the canonical
-    configuration key — just as deterministic, merely unrelated to any
-    on-disk layout.
-    """
-    hook = getattr(evaluator, "cache_key_for", None)
-    if hook is not None:
-        return shard_of_key(hook(config))
-    payload = repr(canonical_key(config)).encode()
-    return int(hashlib.sha256(payload).hexdigest()[:SHARD_PREFIX_LEN], 16)
+    """Deterministic shard index of a configuration under an evaluator
+    (the shard of its :func:`config_keys` key)."""
+    return shard_of_key(config_keys(evaluator, [config])[0])
 
 
 def owner_of_shard(shard: int, workers: int) -> int:
@@ -252,14 +268,28 @@ class FabricEvaluator:
         return is_feasible(self.inner, config)
 
     def evaluate_batch(self, configs: Sequence[dict]) -> np.ndarray:
-        """Costs of ``configs`` in input order, fabric-scheduled."""
+        """Costs of ``configs`` in input order, fabric-scheduled.
+
+        Each distinct key (:func:`config_keys`) is evaluated once, by its
+        first configuration; duplicates receive a copy of its cost.
+        """
         configs = list(configs)
         if not configs:
             return np.empty(0, dtype=float)
+        position: "dict[str, int]" = {}
+        unique: "list[dict]" = []
+        fan_out: "list[int]" = []
+        for key, config in zip(config_keys(self.inner, configs), configs):
+            j = position.get(key)
+            if j is None:
+                j = position[key] = len(unique)
+                unique.append(config)
+            fan_out.append(j)
         if self.workers == 1:
-            return self._serial_batch(configs, what="inline batch")
-        shards = [config_shard(self.inner, c) for c in configs]
-        return self._run_fabric(configs, shards)
+            costs = self._serial_batch(unique, what="inline batch")
+        else:
+            costs = self._run_fabric(unique, list(position))
+        return costs if len(unique) == len(configs) else costs[fan_out]
 
     def _serial_batch(self, configs: list, *, what: str) -> np.ndarray:
         """In-parent batch with transient-failure retries."""
@@ -270,9 +300,11 @@ class FabricEvaluator:
 
     # ---- scheduling core --------------------------------------------------
 
-    def _run_fabric(self, configs: list, shards: "list[int]") -> np.ndarray:
+    def _run_fabric(self, configs: list, keys: "list[str]") -> np.ndarray:
         """Drain every slot's backlog through the pool, recovering lost
         units.
+
+        ``keys`` are the configurations' distinct content addresses.
 
         A unit is lost when its worker dies, when it misses
         ``chunk_timeout``, or when it raises a transient error.  A dead
@@ -285,6 +317,7 @@ class FabricEvaluator:
         """
         tracer = get_tracer()
         n = len(configs)
+        shards = [shard_of_key(key) for key in keys]
         out = np.empty(n, dtype=float)
         unit = self.unit_size
         if unit is None:
@@ -376,7 +409,7 @@ class FabricEvaluator:
                                        what="serial fallback")
             for i, cost in zip(order, costs):
                 out[i] = cost
-        self._reconcile(configs, shards, executed, out)
+        self._reconcile(keys, shards, executed, out)
         return out
 
     def _wait_s(self, inflight: dict) -> "float | None":
@@ -487,21 +520,22 @@ class FabricEvaluator:
         self._slot_evaluators[slot] = evaluator
         return evaluator
 
-    def _reconcile(self, configs: list, shards: "list[int]",
+    def _reconcile(self, keys: "list[str]", shards: "list[int]",
                    executed: "list[tuple[int, list[int]]]",
                    out: np.ndarray) -> None:
         """Persist stolen-work results the executing slot could not.
 
         A thief's scoped store refuses disk writes outside its owned
         shards (``sim.cache.shard_denied``), so the cost came back to
-        the parent unpersisted.  The parent re-puts it here — after
-        reassembly, off every worker's critical path — as the owner of
-        last resort (atomic + idempotent, so a concurrent future owner
-        write is harmless).
+        the parent unpersisted.  The parent puts it here under the key
+        it already computed — once per distinct key, after reassembly,
+        off every worker's critical path — as the owner of last resort
+        (atomic + idempotent, so a concurrent future owner write is
+        harmless).
         """
         store = getattr(self.inner, "cache", None)
-        key_for = getattr(self.inner, "cache_key_for", None)
-        if not isinstance(store, SimCacheStore) or key_for is None:
+        if (not isinstance(store, SimCacheStore)
+                or getattr(self.inner, "cache_key_for", None) is None):
             return
         provenance_hook = getattr(self.inner, "cache_provenance", None)
         provenance = provenance_hook() if provenance_hook is not None else {}
@@ -510,8 +544,7 @@ class FabricEvaluator:
             owned = owned_shards_of(slot, self.workers)
             for i in indices:
                 if shards[i] not in owned and np.isfinite(out[i]):
-                    store.put(key_for(configs[i]), float(out[i]),
-                              **provenance)
+                    store.put(keys[i], float(out[i]), **provenance)
                     reconciled += 1
         if reconciled:
             self._ctr_reconciled.inc(reconciled)

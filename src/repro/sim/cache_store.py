@@ -74,10 +74,10 @@ from repro.obs import get_registry, get_tracer
 
 __all__ = ["SIM_MODEL_VERSION", "FINGERPRINT_SCHEMA", "SHARD_PREFIX_LEN",
            "SHARD_COUNT", "SimCacheStore", "shard_of_key",
-           "sim_cache_key", "fingerprint", "cached_simulate_chip_cost",
-           "verify_fingerprint_schema", "set_default_store",
-           "get_default_store", "resolve_store", "flush_all_stores",
-           "install_signal_flush"]
+           "sim_cache_key", "sim_cache_keys", "fingerprint",
+           "cached_simulate_chip_cost", "verify_fingerprint_schema",
+           "set_default_store", "get_default_store", "resolve_store",
+           "flush_all_stores", "install_signal_flush"]
 
 #: Salt folded into every cache key.  Bump on ANY intentional change to
 #: simulator semantics (i.e. whenever ``tests/data/sim_golden.json`` is
@@ -185,17 +185,45 @@ def fingerprint(obj):
         "cache (no stable identity)")
 
 
+def _dumps(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def sim_cache_keys(chips, workload, seed: int) -> "list[str]":
+    """Content hashes addressing ``simulate_chip_cost`` results of many
+    chips under one workload and seed — the one key payload builder.
+
+    The payload is the compact JSON list ``["simulate_chip_cost",
+    SIM_MODEL_VERSION, fingerprint(chip), fingerprint(workload), seed]``;
+    its workload/seed part is encoded once per call and its chip part
+    once per distinct chip *object*.  The memo is by identity, not
+    equality: dataclass equality merges ``16`` and ``16.0``, which
+    fingerprint (and so key) apart.  Callers that want duplicates keyed
+    once pass the same chip object for them.
+    """
+    chips = list(chips)  # ids stay unique only while the chips are alive
+    head = '["simulate_chip_cost",' + _dumps(SIM_MODEL_VERSION) + ","
+    tail = "," + _dumps(fingerprint(workload)) + "," + _dumps(int(seed)) + "]"
+    memo: "dict[int, str]" = {}
+    keys = []
+    for chip in chips:
+        key = memo.get(id(chip))
+        if key is None:
+            payload = head + _dumps(fingerprint(chip)) + tail
+            key = memo[id(chip)] = hashlib.sha256(
+                payload.encode()).hexdigest()
+        keys.append(key)
+    return keys
+
+
 def sim_cache_key(chip, workload, seed: int) -> str:
-    """Content hash addressing one ``simulate_chip_cost`` result."""
-    payload = json.dumps(
-        ["simulate_chip_cost", SIM_MODEL_VERSION, fingerprint(chip),
-         fingerprint(workload), int(seed)],
-        separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    """Content hash addressing one ``simulate_chip_cost`` result (the
+    one-chip case of :func:`sim_cache_keys`)."""
+    return sim_cache_keys([chip], workload, seed)[0]
 
 
 #: Hex characters of a key that name its disk shard (and directory).
-#: ``sim_cache_key`` returns SHA-256 *hex*, so a prefix of this width is
+#: ``sim_cache_keys`` returns SHA-256 *hex*, so a prefix of this width is
 #: uniform over ``16 ** SHARD_PREFIX_LEN`` values; the ``C2L002`` lint
 #: rule pins the prefix <-> shard mapping to this literal.
 SHARD_PREFIX_LEN = 2
@@ -210,7 +238,7 @@ def shard_of_key(key: str) -> int:
     """Shard index owning ``key``: the integer value of its hex prefix.
 
     The shard is *derived from the key*, never stored, so the mapping
-    can only drift if :func:`sim_cache_key` stops producing hex digests
+    can only drift if :func:`sim_cache_keys` stops producing hex digests
     — which the ``C2L002`` lint rule guards against statically.
     """
     return int(key[:SHARD_PREFIX_LEN], 16)

@@ -35,8 +35,13 @@ def fingerprint(obj):
     return sorted(str(f.name) for f in fields(obj))
 
 
+def sim_cache_keys(objs):
+    return [hashlib.sha256(repr(fingerprint(obj)).encode()).hexdigest()
+            for obj in objs]
+
+
 def sim_cache_key(obj):
-    return hashlib.sha256(repr(fingerprint(obj)).encode()).hexdigest()
+    return sim_cache_keys([obj])[0]
 
 
 def shard_of_key(key):

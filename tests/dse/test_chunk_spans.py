@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.dse import FabricEvaluator, SimulatorEvaluator
+from repro.dse.fabric import config_shard, owner_of_shard
 from repro.obs import configure_tracing, disable_tracing
 from repro.obs.stream import SpanRollup, TraceReader
 from repro.workloads import parsec_like
@@ -40,9 +41,21 @@ def sim_evaluator() -> SimulatorEvaluator:
                               seed=1)
 
 
-def _configs(n: int) -> "list[dict]":
-    return [{"n": 1 + (i % 2), "issue_width": 2, "rob_size": 64,
-             "a1": 0.5, "a2": 8.0} for i in range(n)]
+def _configs(n: int, evaluator) -> "list[dict]":
+    """``n`` distinct design points, half owned by each of two slots.
+
+    The fabric evaluates each distinct point once, so the points must
+    differ; splitting them evenly fixes how many units each slot cuts
+    its backlog into when stealing is off.
+    """
+    by_slot: "dict[int, list[dict]]" = {0: [], 1: []}
+    for rob in range(32, 256):
+        config = {"n": 1 + rob % 2, "issue_width": 2, "rob_size": rob,
+                  "a1": 0.5, "a2": 8.0}
+        slot = owner_of_shard(config_shard(evaluator, config), 2)
+        if len(by_slot[slot]) < n // 2:
+            by_slot[slot].append(config)
+    return by_slot[0] + by_slot[1]
 
 
 def _rollup(path) -> SpanRollup:
@@ -55,7 +68,7 @@ def _rollup(path) -> SpanRollup:
 class TestChunkSpans:
     def test_pool_run_emits_all_three_per_chunk(self, traced,
                                                 sim_evaluator):
-        configs = _configs(8)
+        configs = _configs(8, sim_evaluator)
         with FabricEvaluator(sim_evaluator, workers=2, unit_size=2,
                              steal=False) as pool:
             costs = pool.evaluate_batch(configs)
@@ -74,7 +87,7 @@ class TestChunkSpans:
                                                     sim_evaluator):
         with FabricEvaluator(sim_evaluator, workers=2, unit_size=3,
                              steal=False) as pool:
-            pool.evaluate_batch(_configs(6))
+            pool.evaluate_batch(_configs(6, sim_evaluator))
         by_name: "dict[str, list[dict]]" = {}
         for event in TraceReader(traced).read_all():
             if event.get("name") in CHUNK_SPANS:
@@ -88,7 +101,7 @@ class TestChunkSpans:
     def test_serial_inline_path_emits_no_chunk_spans(self, traced,
                                                      sim_evaluator):
         with FabricEvaluator(sim_evaluator, workers=1) as pool:
-            pool.evaluate_batch(_configs(4))
+            pool.evaluate_batch(_configs(4, sim_evaluator))
         rollup = _rollup(traced)
         for name in CHUNK_SPANS:
             assert name not in rollup.aggregates
@@ -100,5 +113,5 @@ class TestChunkSpans:
         disable_tracing()
         with FabricEvaluator(sim_evaluator, workers=2,
                              unit_size=2) as pool:
-            costs = pool.evaluate_batch(_configs(4))
+            costs = pool.evaluate_batch(_configs(4, sim_evaluator))
         assert np.all(np.isfinite(costs))

@@ -6,10 +6,14 @@ steal schedule, unit size, or crash/recovery sequence, costs come back
 bit-identical to a sequential loop, and budget accounting on a wrapping
 :class:`~repro.dse.evaluate.BudgetedEvaluator` is exactly-once.  These
 tests pin every leg — workers=1 ≡ workers=4 ≡ forced-steal ≡ steal-off ≡
-crash-recovery ≡ ledger kill-and-resume — including ``dse.evaluations``.
+crash-recovery ≡ ledger kill-and-resume — including ``dse.evaluations``
+— and the key-once step: each distinct content address of a batch is
+evaluated, looked up and persisted once.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from repro.dse import BudgetedEvaluator, SurrogateEvaluator, batch_evaluate
 from repro.dse.evaluate import SimulatorEvaluator, canonical_key
 from repro.dse.fabric import (
     FabricEvaluator,
+    config_keys,
     config_shard,
     make_pool_evaluator,
     owned_shards_of,
@@ -36,7 +41,14 @@ from repro.resilience import (
     config_token,
     load_journal,
 )
-from repro.sim.cache_store import SHARD_COUNT, SimCacheStore, shard_of_key
+from repro.sim.cache_store import (
+    SHARD_COUNT,
+    SimCacheStore,
+    shard_of_key,
+    sim_cache_key,
+    sim_cache_keys,
+)
+from repro.sim.config import SimulatedChip
 
 NO_JITTER = RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0.0)
 
@@ -90,6 +102,7 @@ class TestShardMath:
 
     def test_config_shard_prefers_cache_key_hook(self):
         class Keyed:
+            # One key, one cost: the contract every cache_key_for keeps.
             def cache_key_for(self, config):
                 return "ab" + "0" * 62
 
@@ -258,6 +271,98 @@ class TestFabricTieredCache:
         with FabricEvaluator(evaluator, workers=2, unit_size=1) as fabric:
             got = fabric.evaluate_batch(configs)
         assert np.array_equal(got, want)
+
+
+class TestFabricDedupe:
+    """A simulated sweep with an ``a0`` axis (which the simulator ignores)
+    asks for each chip several times; the fabric evaluates each distinct
+    content address once and fans its cost out."""
+
+    A0 = (1.0, 2.0, 3.0)
+
+    @pytest.fixture
+    def workload(self):
+        from repro.workloads import parsec_like
+        return parsec_like("blackscholes", n_ops=300)
+
+    @pytest.fixture
+    def configs(self) -> "list[dict]":
+        return [{"a0": a0, "n": n, "issue_width": iw, "rob_size": 32,
+                 "l1_kib": 16.0, "l2_kib": l2}
+                for n in (1, 2) for iw in (2, 4) for l2 in (64.0, 128.0)
+                for a0 in self.A0]
+
+    def _evaluator(self, workload, root) -> SimulatorEvaluator:
+        return SimulatorEvaluator(workload, seed=3,
+                                  cache=SimCacheStore(root))
+
+    def test_batch_keys_equal_the_one_chip_key(self, workload, configs):
+        evaluator = SimulatorEvaluator(workload, seed=3, cache=None)
+        want = [sim_cache_key(evaluator.chip_for(c), workload, 3)
+                for c in configs]
+        assert evaluator.cache_keys_for(configs) == want
+        assert config_keys(evaluator, configs) == want
+        assert [evaluator.cache_key_for(c) for c in configs] == want
+        assert len(set(want)) == len(configs) // len(self.A0)
+
+    def test_chip_memo_keeps_equal_chips_with_distinct_fingerprints(
+            self, workload):
+        # Dataclass equality treats 16 and 16.0 alike; the fingerprint
+        # (and so the store key) does not.
+        ints = replace(SimulatedChip(), n_cores=16)
+        floats = replace(SimulatedChip(), n_cores=16.0)
+        assert ints == floats
+        keys = sim_cache_keys([ints, floats, ints], workload, 3)
+        assert keys == [sim_cache_key(c, workload, 3)
+                        for c in (ints, floats, ints)]
+        assert keys[0] != keys[1]
+
+    def test_every_leg_equals_a_per_point_loop(self, tmp_path, workload,
+                                               configs, fresh_registry):
+        serial = SimulatorEvaluator(workload, seed=3, cache=None)
+        want = np.array([serial.evaluate(c) for c in configs])
+        distinct = len(set(serial.cache_keys_for(configs)))
+        legs = {
+            "inline": dict(workers=1),
+            "fanned": dict(workers=2),
+            "forced-steal": dict(workers=2, unit_size=1),
+            "steal-off": dict(workers=2, steal=False),
+        }
+        for name, kwargs in legs.items():
+            fresh_registry.reset()
+            root = tmp_path / name
+            evaluator = self._evaluator(workload, root)
+            with FabricEvaluator(evaluator, **kwargs) as fabric:
+                budget = BudgetedEvaluator(fabric)
+                got = budget.evaluate_batch(configs)
+            assert np.array_equal(got, want), name
+            assert budget.evaluations == len(configs), name
+            # One store entry per distinct key, each put at most once.
+            assert SimCacheStore(root).stats()["entries"] == distinct, name
+            counters = fresh_registry.snapshot()["counters"]
+            assert counters.get("dse.fabric.reconciled", 0) <= distinct
+            if name == "inline":
+                assert counters["sim.runs"] == distinct
+                assert counters["sim.cache.stores"] == distinct
+                assert counters.get("sim.cache.hits", 0) == 0
+            if name == "forced-steal":
+                assert counters["dse.fabric.steals"] > 0
+
+    def test_inline_warm_pass_hits_once_per_distinct_key(
+            self, tmp_path, workload, configs, fresh_registry):
+        evaluator = self._evaluator(workload, tmp_path / "store")
+        with FabricEvaluator(evaluator, workers=1) as fabric:
+            cold = fabric.evaluate_batch(configs)
+        distinct = len(set(evaluator.cache_keys_for(configs)))
+        fresh_registry.reset()
+        warm_evaluator = self._evaluator(workload, tmp_path / "store")
+        with FabricEvaluator(warm_evaluator, workers=1) as fabric:
+            warm = fabric.evaluate_batch(configs)
+        assert np.array_equal(warm, cold)
+        counters = fresh_registry.snapshot()["counters"]
+        assert counters["sim.cache.hits"] == distinct
+        assert counters.get("sim.cache.misses", 0) == 0
+        assert counters.get("sim.runs", 0) == 0
 
 
 class TestLedgerResume:

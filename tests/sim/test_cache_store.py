@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pickle
 from dataclasses import replace
@@ -24,6 +25,7 @@ from repro.sim.cache_store import (
     set_default_store,
     shard_of_key,
     sim_cache_key,
+    sim_cache_keys,
 )
 from repro.sim.config import CoreMicroConfig, SimulatedChip
 from repro.workloads.gups import GUPS
@@ -60,6 +62,19 @@ def test_key_is_sensitive_to_every_input():
                          7) != base
     assert sim_cache_key(chip, GUPS(updates=500, table_kib=64.0), 7) != base
     assert sim_cache_key(chip, wl, 8) != base
+
+
+def test_batch_keys_keep_the_payload_format():
+    # Entries persisted before batch keying stay addressable: the
+    # payload is still the compact JSON list below, per chip.
+    wl = parsec_like("fluidanimate", n_ops=500)
+    chips = [replace(SimulatedChip(), n_cores=n) for n in (2, 4, 2)]
+    want = [hashlib.sha256(json.dumps(
+        ["simulate_chip_cost", SIM_MODEL_VERSION, fingerprint(chip),
+         fingerprint(wl), 7], separators=(",", ":")).encode()).hexdigest()
+        for chip in chips]
+    assert sim_cache_keys(chips, wl, 7) == want
+    assert [sim_cache_key(chip, wl, 7) for chip in chips] == want
 
 
 def test_key_folds_in_the_model_version_salt(monkeypatch):

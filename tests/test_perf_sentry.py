@@ -121,6 +121,16 @@ class TestCheck:
         assert report["checks"][0]["status"] == "workload_drift"
         assert report["regressions"] == 0
 
+    def test_zero_count_is_no_work_not_drift(self, results, baselines):
+        # Whether a zeroed counter lands in a record depends on which
+        # benches ran earlier in the session; zero and absent agree.
+        baselines.write_text(json.dumps({
+            "bench": "test_fig12", "wall_time_s": 1.0, "work": {}}) + "\n")
+        _bench_record(results / "BENCH_fig12.json", evaluations=0)
+        report = sentry.run_check(results, baselines)
+        assert report["checks"][0]["status"] == "ok"
+        assert report["drifted"] == []
+
     def test_window_limits_history(self, results, baselines):
         # Ancient slow history beyond the window must not mask a
         # regression against the recent fast regime.
@@ -149,6 +159,22 @@ class TestMain:
                           "--baselines", str(baselines)])
         assert rc == 1
         assert "REGRESSION" in capsys.readouterr().out
+
+    def test_workload_drift_fails_and_names_the_bench(
+            self, results, baselines, capsys):
+        _seed_history(baselines, evaluations=100)
+        _bench_record(results / "BENCH_fig12.json", evaluations=1000)
+        rc = sentry.main(["check", "--results", str(results),
+                          "--baselines", str(baselines)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "DRIFT      test_fig12" in captured.out
+        assert "workload drift in test_fig12" in captured.err
+        # Re-baselining in the same change clears the gate.
+        sentry.run_update(results, baselines)
+        assert sentry.main(["check", "--results", str(results),
+                            "--baselines", str(baselines)]) == 0
+        capsys.readouterr()
 
     def test_update_then_check_round_trip(self, results, baselines,
                                           capsys):
