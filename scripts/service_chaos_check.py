@@ -9,7 +9,11 @@ Two end-to-end checks against a **real** server subprocess:
    resumes (``resumed: true``) to a result **bit-identical** to its
    uninterrupted twin — verified through ``c2bound diff`` (exit 0 on
    a per-job run directory pair) — with per-tenant evaluation budgets
-   charged exactly once across the crash.
+   charged exactly once across the crash.  Before the restart the
+   check also tears the state the way a kill mid-write can: one
+   pending job's ``checkpoint.jsonl`` is cut to 0 bytes (killed between
+   creating the file and writing its header) and a torn ``done``
+   fragment is appended to ``jobs.jsonl``.
 2. **Saturating burst** — 1000 synthetic clients against a
    queue-depth-4 server: every shed submission gets ``429`` with a
    machine-readable reason and a ``Retry-After`` header, every
@@ -37,6 +41,7 @@ from pathlib import Path
 
 from repro.dse.jobs import run_job
 from repro.obs.report import diff_command
+from repro.resilience import replay_registry
 from repro.service.wire import canonical_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -135,6 +140,27 @@ def write_run_dir(run_dir: Path, result: dict) -> None:
     (run_dir / "result.csv").write_text("field,value\n" + rows)
 
 
+def tear_state(state_dir: Path) -> None:
+    """Leave the torn files a kill mid-write can leave: the furthest
+    pending job's checkpoint emptied (no header) and a torn ``done``
+    record on the registry.  Both are append-only logs with a torn,
+    empty or partial tail, which the restart must heal, not refuse."""
+    registry = state_dir / "jobs.jsonl"
+    pending = [record["job"] for record in replay_registry(registry).pending]
+    if not pending:
+        _fail("no pending job left in the registry to tear")
+    checkpoints = [state_dir / "jobs" / job_id / "checkpoint.jsonl"
+                   for job_id in pending]
+    victim = max(checkpoints,
+                 key=lambda p: p.stat().st_size if p.exists() else -1)
+    victim.parent.mkdir(parents=True, exist_ok=True)
+    victim.write_bytes(b"")
+    with registry.open("a") as handle:
+        handle.write(f'{{"type": "done", "job": "{pending[0]}", "sta')
+    print(f"tore the state: emptied {victim.relative_to(state_dir)}, "
+          "appended a torn done record to jobs.jsonl")
+
+
 def check_kill_and_resume(base: Path) -> None:
     state_dir = base / "kill"
     tenants = ["alice", "bob", "alice", "bob"]
@@ -166,6 +192,7 @@ def check_kill_and_resume(base: Path) -> None:
     proc.send_signal(signal.SIGKILL)
     proc.wait(timeout=30)
     print(f"killed the server with {in_flight} jobs in flight")
+    tear_state(state_dir)
 
     twins = [run_job(job_spec(index)) for index in range(len(tenants))]
 

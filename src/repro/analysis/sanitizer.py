@@ -23,11 +23,11 @@ that is about to do file I/O anyway — unmeasurable, which
 
 from __future__ import annotations
 
-import json
 import os
 import threading
-from typing import Any, Iterable, Protocol
+from typing import Any, Protocol
 
+from repro.errors import AnalysisError
 from repro.obs import get_registry
 
 __all__ = ["SANITIZE_SCHEMA", "ENV_FLAG", "ENV_LOG", "sanitize_enabled",
@@ -76,11 +76,13 @@ def record_finding(kind: str, **fields: Any) -> "dict[str, Any]":
     get_registry().counter("analysis.sanitize.findings").inc()
     path = sanitize_log_path()
     if path is not None:
-        line = json.dumps(record, sort_keys=True)
+        # Imported here: every cache store imports this module, and
+        # only a logged finding needs the log format.
+        from repro.io.applog import encode
         try:
             with _LOG_LOCK:
                 with open(path, "a", encoding="utf-8") as handle:
-                    handle.write(line + "\n")
+                    handle.write(encode(record))
         except OSError:
             pass
     return record
@@ -108,15 +110,10 @@ def check_shard_write(store: "_ShardedStore", key: str,
 
 def load_findings(path: "str | os.PathLike[str]",
                   ) -> "list[dict[str, Any]]":
-    """Parse a findings log; missing file reads as no findings."""
+    """Parse a findings log; a missing file or a torn tail reads as none."""
+    from repro.io.applog import read_records
+
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines: "Iterable[str]" = handle.readlines()
+        return read_records(path, AnalysisError)[0]
     except OSError:
         return []
-    out: "list[dict[str, Any]]" = []
-    for line in lines:
-        line = line.strip()
-        if line:
-            out.append(json.loads(line))
-    return out

@@ -26,6 +26,9 @@ import sys
 import time
 from pathlib import Path
 
+from repro.errors import ObservabilityError
+from repro.io.applog import read_records
+
 __all__ = ["SCHEMA_VERSION", "JsonlWriter", "read_jsonl",
            "validate_event", "validate_trace_file", "main"]
 
@@ -75,14 +78,8 @@ class JsonlWriter:
 
 
 def read_jsonl(path: "str | Path") -> list[dict]:
-    """Parse every line of a JSONL file (blank lines skipped)."""
-    out: list[dict] = []
-    with Path(path).open() as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
+    """Every complete line of a JSONL file (torn final line skipped)."""
+    return read_records(path, ObservabilityError)[0]
 
 
 def validate_event(obj) -> list[str]:
@@ -112,12 +109,13 @@ def validate_trace_file(path: "str | Path") -> list[str]:
     current schema version and referential integrity of span parents.
     """
     try:
-        events = read_jsonl(path)
-    except (OSError, json.JSONDecodeError) as exc:
+        events, torn = read_records(path, ObservabilityError)
+    except (OSError, ObservabilityError) as exc:
         return [f"unreadable trace: {exc}"]
+    problems = ([f"final line is torn (no newline): {torn[:60]!r}"]
+                if torn else [])
     if not events:
-        return ["trace is empty (expected a run header line)"]
-    problems: list[str] = []
+        return problems + ["trace is empty (expected a run header line)"]
     head = events[0]
     if head.get("type") != "run":
         problems.append("first line is not a 'run' header")

@@ -31,6 +31,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.io.applog import read_first
 from repro.obs.manifest import MANIFEST_SCHEMA, stable_view
 from repro.obs.profile import (
     PROFILE_BUCKETS,
@@ -105,16 +106,8 @@ def _load_json(path: Path) -> "dict | None":
 
 def _sniff_trace(path: Path) -> bool:
     """True when the file's first line is a ``c2bound.trace/1`` header."""
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            first = fh.readline()
-    except OSError:
-        return False
-    try:
-        obj = json.loads(first)
-    except ValueError:
-        return False
-    return (isinstance(obj, dict) and obj.get("type") == "run"
+    obj = read_first(path)
+    return (obj is not None and obj.get("type") == "run"
             and "trace" in str(obj.get("schema", "")))
 
 

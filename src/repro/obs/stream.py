@@ -11,9 +11,9 @@ into live aggregates — the progress-streaming layer the DSE job server
   yields exactly the events appended since the previous poll, never a
   partial line: an append-only writer can only tear the *final* line of
   the file, and the reader simply leaves an un-terminated tail in place
-  until the terminating newline arrives (the same torn-tail discipline
-  as ``c2bound.checkpoint/1`` replay).  Memory is bounded by one poll's
-  read, not the file size.
+  until the terminating newline arrives (the append-only log rule of
+  :mod:`repro.io.applog`, shared with checkpoint replay).  Memory is
+  bounded by one poll's read, not the file size.
 - :class:`EventBus` — synchronous pub/sub fan-out of trace events to
   subscribed handlers, filterable by event type and name prefix.
 - Incremental aggregators — :class:`SpanRollup` (per-name count / total
@@ -29,12 +29,12 @@ count reader activity in the process-wide registry.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from repro.errors import ObservabilityError
+from repro.io.applog import parse_lines, split_lines
 from repro.obs.registry import get_registry
 
 __all__ = ["TraceReader", "EventBus", "SpanRollup", "MetricFold",
@@ -78,6 +78,8 @@ class TraceReader:
         self.path = Path(path)
         self.max_bytes = max_bytes
         self.offset = 0
+        #: complete lines consumed so far (names a corrupt line's number)
+        self.lineno = 0
         registry = get_registry()
         self._ctr_polls = registry.counter("obs.stream.polls")
         self._ctr_events = registry.counter("obs.stream.events")
@@ -93,7 +95,7 @@ class TraceReader:
             return []  # not created yet (or momentarily unlinked)
         if size < self.offset:
             # Truncated or rotated underneath us: start over.
-            self.offset = 0
+            self.offset = self.lineno = 0
             self._ctr_resets.inc()
         if size == self.offset:
             return []
@@ -103,48 +105,30 @@ class TraceReader:
             if self.max_bytes is not None:
                 budget = min(budget, self.max_bytes)
             data = fh.read(budget)
-            cut = data.rfind(b"\n")
-            while cut < 0 and self.offset + len(data) < size:
+            scanned = 0
+            while (data.find(b"\n", scanned) < 0
+                   and self.offset + len(data) < size):
                 # A single line outgrew max_bytes: the budget is a
                 # per-poll target, the longest line is the hard memory
-                # floor.  Grow to that line's first newline, no further.
+                # floor.  Grow until that line's newline arrives.
                 chunk = fh.read(budget)
                 if not chunk:
                     break
-                scan_from = len(data)
+                scanned = len(data)
                 data += chunk
-                cut = data.find(b"\n", scan_from)
-        if cut < 0:
-            # Only a torn tail so far: leave it in the file, consume
-            # nothing until the writer terminates the line.
-            if self.offset + len(data) >= size:
-                self._ctr_torn.inc()
-            return []
-        complete = data[:cut + 1]
-        if self.offset + len(data) >= size and cut + 1 < len(data):
+        lines, tail = split_lines(data)
+        if tail and self.offset + len(data) >= size:
+            # A torn tail stays in the file, unconsumed, until the
+            # writer terminates the line.
             self._ctr_torn.inc()
-        self.offset += len(complete)
-        events = self._parse(complete)
+        if not lines:
+            return []
+        self.offset += len(data) - len(tail)
+        events = parse_lines(lines, self.path, ObservabilityError,
+                             first_line=self.lineno + 1)
+        self.lineno += len(lines)
         self._ctr_events.inc(len(events))
         return events
-
-    def _parse(self, payload: bytes) -> "list[dict]":
-        out: list[dict] = []
-        for lineno, raw in enumerate(payload.split(b"\n"), start=1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except ValueError as exc:
-                raise ObservabilityError(
-                    f"trace {self.path} has a corrupt complete line "
-                    f"(poll-relative line {lineno}): {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ObservabilityError(
-                    f"trace {self.path} line is {type(obj).__name__}, "
-                    "not an object")
-            out.append(obj)
-        return out
 
     def read_all(self) -> "list[dict]":
         """Drain everything currently readable (repeated polls)."""

@@ -18,10 +18,9 @@ line is a header and whose remaining lines are records::
   generation counters); searches that replay deterministically do not
   need them, but the schema reserves the slot.
 
-Crash safety: lines are written whole and flushed; a crash can only
-tear the *final* line, and :meth:`CheckpointJournal.load` tolerates
-exactly that (a torn tail is dropped; a torn *middle* line means
-tampering and raises :class:`~repro.errors.CheckpointError`).
+Crash safety is the append-only log rule of :mod:`repro.io.applog`:
+a torn final line is dropped (``resilience.checkpoint.torn_tail``), a
+corrupt *middle* line raises :class:`~repro.errors.CheckpointError`.
 
 Resume model — **replay with a warm ledger**: every search in
 :mod:`repro.dse` is a deterministic function of its seed, so a resumed
@@ -42,14 +41,13 @@ directory (one file per search method) with no search-code changes.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator
 
 from repro.errors import CheckpointError
+from repro.io.applog import AppendLog, LogScan, read_first, read_log
 from repro.obs import get_registry
 
 __all__ = ["CHECKPOINT_SCHEMA", "CheckpointJournal", "checkpoint_hash",
@@ -98,7 +96,7 @@ def _decode_key(items: list) -> tuple:
     return tuple(decoded)
 
 
-class CheckpointJournal:
+class CheckpointJournal(AppendLog):
     """One search's append-only evaluation ledger.
 
     Use :meth:`create` for a fresh journal (truncates any existing
@@ -107,9 +105,7 @@ class CheckpointJournal:
     """
 
     def __init__(self, path: Path, header: dict, handle: "IO[str]") -> None:
-        self.path = path
-        self.header = header
-        self._handle = handle
+        super().__init__(path, header, handle)
         self._ctr_appended = get_registry().counter(
             "resilience.checkpoint.appended")
 
@@ -120,19 +116,13 @@ class CheckpointJournal:
                run_id: "str | None" = None,
                meta: "dict | None" = None) -> "CheckpointJournal":
         """Start a fresh journal at ``path`` (truncating any old one)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        header = {
+        return cls._create(path, {
             "type": "header",
             "schema": CHECKPOINT_SCHEMA,
             "run_id": run_id if run_id is not None else new_run_id(),
             "method": method,
             "meta": dict(meta) if meta else {},
-        }
-        handle = open(path, "w")
-        handle.write(json.dumps(header, sort_keys=True) + "\n")
-        handle.flush()
-        return cls(path, header, handle)
+        })
 
     @classmethod
     def open_resume(cls, path: "str | Path", *,
@@ -144,136 +134,74 @@ class CheckpointJournal:
         ``states`` the raw state records.  When ``method`` is given it
         must match the header's.
 
-        A missing file degenerates to :meth:`create` with empty
-        restores — resuming a run that never checkpointed is just a
-        fresh run.
+        A missing or header-less file degenerates to :meth:`create`
+        with empty restores — resuming a run that never checkpointed
+        is just a fresh run.
         """
-        path = Path(path)
-        if not path.exists():
+        scan = _scan(path)
+        if scan is None:
             return cls.create(path, method=method), [], []
-        header, records = _parse_journal(path)
-        evals, states = _split_records(path, records)
-        if method is not None and header.get("method") not in (None, method):
+        evals, states = _split_records(scan)
+        written_by = scan.header.get("method")
+        if method is not None and written_by not in (None, method):
             raise CheckpointError(
-                f"checkpoint {path} was written by method "
-                f"{header.get('method')!r}, not {method!r}")
-        # Re-write the surviving prefix (in original order) so a torn
-        # tail from the crashed writer is healed before we append.
-        tmp = path.with_suffix(path.suffix + ".resume-tmp")
-        with open(tmp, "w") as out:
-            out.write(json.dumps(header, sort_keys=True) + "\n")
-            for record in records:
-                out.write(json.dumps(record, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-        handle = open(path, "a")
-        return cls(path, header, handle), evals, states
+                f"checkpoint {scan.path} was written by method "
+                f"{written_by!r}, not {method!r}")
+        return cls._reopen(scan), evals, states
 
     # ---- writing ----------------------------------------------------------
 
     def append_eval(self, key: tuple, cost: float) -> None:
         """Ledger one charged evaluation (flushed immediately)."""
-        self._handle.write(_eval_line(key, cost))
-        self._handle.flush()
-        self._ctr_appended.inc()
+        self.append_evals([(key, cost)])
 
     def append_evals(self, entries: "list[tuple[tuple, float]]") -> None:
         """Ledger a batch of charged evaluations with one flush."""
         if not entries:
             return
-        self._handle.write(
-            "".join(_eval_line(key, cost) for key, cost in entries))
-        self._handle.flush()
+        self.append({"type": "eval", "k": _encode_key(key),
+                     "c": repr(float(cost))} for key, cost in entries)
         self._ctr_appended.inc(len(entries))
 
     def append_state(self, tag: str, data: dict) -> None:
         """Record an optional search-state snapshot."""
-        record = {"type": "state", "tag": tag, "data": data}
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
-
-    def close(self) -> None:
-        """Flush and close the underlying file (idempotent)."""
-        if not self._handle.closed:
-            self._handle.flush()
-            self._handle.close()
-
-    def __enter__(self) -> "CheckpointJournal":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
+        self.append([{"type": "state", "tag": tag, "data": data}])
 
 
-def _eval_line(key: tuple, cost: float) -> str:
-    record = {"type": "eval", "k": _encode_key(key), "c": repr(float(cost))}
-    return json.dumps(record, sort_keys=True) + "\n"
+def _scan(path: "str | Path") -> "LogScan | None":
+    return read_log(path, CHECKPOINT_SCHEMA, CheckpointError,
+                    get_registry().counter("resilience.checkpoint.torn_tail"))
 
 
-def _parse_journal(path: Path) -> "tuple[dict, list[dict]]":
-    """Parse a journal into ``(header, body records)``.
-
-    Tolerates a torn final line (the only tear an append-only writer
-    can produce); anything else malformed raises
-    :class:`~repro.errors.CheckpointError`.
-    """
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    lines = text.split("\n")
-    # A well-formed file ends with "\n" → last element is "".  Anything
-    # after the final newline is a torn tail and is dropped.
-    torn = lines.pop() if lines else ""
-    if torn:
-        get_registry().counter("resilience.checkpoint.torn_tail").inc()
-    records: list[dict] = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line:
-            continue
-        try:
-            records.append(json.loads(line))
-        except ValueError as exc:
-            raise CheckpointError(
-                f"checkpoint {path} line {lineno} is corrupt "
-                "(not a torn tail — refusing to resume)") from exc
-    if not records:
-        raise CheckpointError(f"checkpoint {path} has no header")
-    header = records[0]
-    if header.get("type") != "header" or header.get("schema") != CHECKPOINT_SCHEMA:
-        raise CheckpointError(
-            f"checkpoint {path} has an invalid header "
-            f"(schema {header.get('schema')!r})")
-    return header, records[1:]
-
-
-def _split_records(path: Path,
-                   records: "list[dict]") -> "tuple[list[tuple[tuple, float]], list[dict]]":
+def _split_records(
+        scan: LogScan) -> "tuple[list[tuple[tuple, float]], list[dict]]":
     """Body records → (evaluation ledger, state snapshots)."""
     evals: list[tuple[tuple, float]] = []
     states: list[dict] = []
-    for record in records:
+    for record in scan.records:
         kind = record.get("type")
         if kind == "eval":
             try:
                 evals.append((_decode_key(record["k"]),
                               float(record["c"])))
             except (KeyError, TypeError, ValueError) as exc:
-                raise CheckpointError(
-                    f"checkpoint {path} has a malformed eval record") from exc
+                raise CheckpointError(f"checkpoint {scan.path} has a "
+                                      "malformed eval record") from exc
         elif kind == "state":
             states.append(record)
         else:
             raise CheckpointError(
-                f"checkpoint {path} has an unknown record type {kind!r}")
+                f"checkpoint {scan.path} has an unknown record type {kind!r}")
     return evals, states
 
 
 def load_journal(path: "str | Path") -> "tuple[dict, list[tuple[tuple, float]], list[dict]]":
     """Read a journal back: ``(header, evals, states)``."""
-    path = Path(path)
-    header, records = _parse_journal(path)
-    evals, states = _split_records(path, records)
-    return header, evals, states
+    scan = _scan(path)
+    if scan is None:
+        raise CheckpointError(f"checkpoint {path} is missing or has no header")
+    evals, states = _split_records(scan)
+    return scan.header, evals, states
 
 
 def read_journal_headers(directory: "str | Path") -> "list[dict]":
@@ -284,20 +212,12 @@ def read_journal_headers(directory: "str | Path") -> "list[dict]":
     Unreadable or header-less files are skipped — lineage reporting
     must never fail a run.
     """
-    directory = Path(directory)
     headers: list[dict] = []
-    for path in sorted(directory.glob("*.jsonl")):
-        try:
-            with open(path) as handle:
-                first = handle.readline().strip()
-            header = json.loads(first)
-        except (OSError, ValueError):
-            continue
-        if (isinstance(header, dict) and header.get("type") == "header"
+    for path in sorted(Path(directory).glob("*.jsonl")):
+        header = read_first(path)
+        if (header is not None and header.get("type") == "header"
                 and header.get("schema") == CHECKPOINT_SCHEMA):
-            header = dict(header)
-            header["path"] = str(path)
-            headers.append(header)
+            headers.append({**header, "path": str(path)})
     return headers
 
 

@@ -21,21 +21,19 @@ evaluation count charged to the tenant, so finished work is servable
 after a restart without re-running anything and budget accounting is
 replayed exactly-once.
 
-Crash safety matches :mod:`repro.resilience.checkpoint`: lines are
-written whole and flushed, so a crash can only tear the final line;
-:func:`replay_registry` drops exactly that (counted as
-``resilience.jobs.torn_tail``) and refuses anything else malformed.
+Crash safety is the append-only log rule of :mod:`repro.io.applog`:
+a torn final line is dropped (``resilience.jobs.torn_tail``), anything
+else malformed is refused with :class:`~repro.errors.CheckpointError`.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO
 
 from repro.errors import CheckpointError
+from repro.io.applog import AppendLog, LogScan, read_log
 from repro.obs import get_registry
 from repro.resilience.checkpoint import new_run_id
 
@@ -70,7 +68,7 @@ class RegistryReplay:
     next_seq: int = 0
 
 
-class JobRegistry:
+class JobRegistry(AppendLog):
     """Append-only job ledger (one per server state directory).
 
     Use :meth:`create` for a fresh ledger or :meth:`open_resume` to
@@ -79,9 +77,7 @@ class JobRegistry:
     """
 
     def __init__(self, path: Path, header: dict, handle: "IO[str]") -> None:
-        self.path = path
-        self.header = header
-        self._handle = handle
+        super().__init__(path, header, handle)
         self._ctr_appended = get_registry().counter(
             "resilience.jobs.appended")
 
@@ -89,42 +85,27 @@ class JobRegistry:
     def create(cls, path: "str | Path", *, run_id: "str | None" = None,
                meta: "dict | None" = None) -> "JobRegistry":
         """Start a fresh registry at ``path`` (truncating any old one)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        header = {"type": "header", "schema": JOBS_SCHEMA,
-                  "run_id": run_id if run_id is not None else new_run_id(),
-                  "meta": dict(meta) if meta else {}}
-        handle = open(path, "w")
-        handle.write(json.dumps(header, sort_keys=True) + "\n")
-        handle.flush()
-        return cls(path, header, handle)
+        return cls._create(path, {
+            "type": "header", "schema": JOBS_SCHEMA,
+            "run_id": run_id if run_id is not None else new_run_id(),
+            "meta": dict(meta) if meta else {}})
 
     @classmethod
     def open_resume(cls, path: "str | Path") -> "tuple[JobRegistry, RegistryReplay]":
         """Open an existing registry for appending, replaying it first.
 
-        A missing file degenerates to :meth:`create` with an empty
-        replay.  A torn final line (the only tear an append-only writer
-        can produce) is healed by rewriting the surviving prefix before
+        A missing or header-less file degenerates to :meth:`create`
+        with an empty replay.  A torn final line is cut off before
         appending resumes.
         """
-        path = Path(path)
-        if not path.exists():
+        scan = _scan(path)
+        if scan is None:
             return cls.create(path), RegistryReplay()
-        header, records = _parse_registry(path)
-        replay = _fold_records(path, records)
-        tmp = path.with_suffix(path.suffix + ".resume-tmp")
-        with open(tmp, "w") as out:
-            out.write(json.dumps(header, sort_keys=True) + "\n")
-            for record in records:
-                out.write(json.dumps(record, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-        handle = open(path, "a")
-        return cls(path, header, handle), replay
+        replay = _fold_records(scan)
+        return cls._reopen(scan), replay
 
     def _append(self, record: dict) -> None:
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
+        self.append([record])
         self._ctr_appended.inc()
 
     def append_submit(self, *, job_id: str, tenant: str, priority: int,
@@ -149,58 +130,17 @@ class JobRegistry:
         """Ledger a cancellation of a still-queued job."""
         self._append({"type": "cancel", "job": str(job_id)})
 
-    def close(self) -> None:
-        """Flush and close the underlying file (idempotent)."""
-        if not self._handle.closed:
-            self._handle.flush()
-            self._handle.close()
 
-    def __enter__(self) -> "JobRegistry":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
+def _scan(path: "str | Path") -> "LogScan | None":
+    return read_log(path, JOBS_SCHEMA, CheckpointError,
+                    get_registry().counter("resilience.jobs.torn_tail"))
 
 
-def _parse_registry(path: Path) -> "tuple[dict, list[dict]]":
-    """Parse a registry into ``(header, body records)``.
-
-    Tolerates a torn final line; anything else malformed raises
-    :class:`~repro.errors.CheckpointError`.
-    """
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise CheckpointError(
-            f"cannot read job registry {path}: {exc}") from exc
-    lines = text.split("\n")
-    torn = lines.pop() if lines else ""
-    if torn:
-        get_registry().counter("resilience.jobs.torn_tail").inc()
-    records: list[dict] = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line:
-            continue
-        try:
-            records.append(json.loads(line))
-        except ValueError as exc:
-            raise CheckpointError(
-                f"job registry {path} line {lineno} is corrupt "
-                "(not a torn tail — refusing to resume)") from exc
-    if not records:
-        raise CheckpointError(f"job registry {path} has no header")
-    header = records[0]
-    if header.get("type") != "header" or header.get("schema") != JOBS_SCHEMA:
-        raise CheckpointError(
-            f"job registry {path} has an invalid header "
-            f"(schema {header.get('schema')!r})")
-    return header, records[1:]
-
-
-def _fold_records(path: Path, records: "list[dict]") -> RegistryReplay:
+def _fold_records(scan: LogScan) -> RegistryReplay:
     """Body records → the replay view a restarting server needs."""
+    path = scan.path
     replay = RegistryReplay()
-    for record in records:
+    for record in scan.records:
         kind = record.get("type")
         if kind == "submit":
             job_id = record.get("job")
@@ -224,9 +164,9 @@ def _fold_records(path: Path, records: "list[dict]") -> RegistryReplay:
 
 
 def replay_registry(path: "str | Path") -> RegistryReplay:
-    """Read a registry back without opening it for append."""
-    path = Path(path)
-    if not path.exists():
-        return RegistryReplay()
-    _header, records = _parse_registry(path)
-    return _fold_records(path, records)
+    """Read a registry back without opening it for append.
+
+    A missing or header-less file replays as an empty registry.
+    """
+    scan = _scan(path)
+    return RegistryReplay() if scan is None else _fold_records(scan)

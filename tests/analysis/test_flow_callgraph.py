@@ -154,15 +154,17 @@ def test_repo_flow_keeps_every_reexport_and_edge(repo_root):
     # eager tree resolved 314 re-exports and 1358 call edges; all of
     # them are kept, plus the C2L104 rule's export and the seven edges
     # of the code added with it (repro._lazy, C2L104, the export scan),
-    # and a net eight edges of batch keying (sim_cache_keys,
-    # SimulatorEvaluator.cache_keys_for, fabric config_keys).
+    # a net eight edges of batch keying (sim_cache_keys,
+    # SimulatorEvaluator.cache_keys_for, fabric config_keys), and a net
+    # nineteen of the shared append-only log (repro.io.applog and the
+    # journal, registry, trace and findings readers moved onto it).
     from repro._lazy import _reexports
     from repro.analysis.flow import get_flow
     from repro.analysis.source import load_project
 
     flow = get_flow(load_project([repo_root / "src"], root=repo_root))
     assert len(flow.graph.exports) == 315
-    assert sum(len(callees) for callees in flow.edges.values()) == 1373
+    assert sum(len(callees) for callees in flow.edges.values()) == 1392
     for init in (repo_root / "src" / "repro").rglob("__init__.py"):
         package = ".".join(init.parent.relative_to(repo_root / "src").parts)
         for name, (module, attr) in _reexports(str(init)).items():

@@ -85,6 +85,15 @@ def test_load_findings_missing_file_is_empty(tmp_path):
     assert load_findings(tmp_path / "nope.jsonl") == []
 
 
+def test_load_findings_skips_a_torn_tail(monkeypatch, tmp_path):
+    log = tmp_path / "findings.jsonl"
+    monkeypatch.setenv(ENV_LOG, str(log))
+    record_finding("foreign-shard-write", shard=1)
+    with log.open("a") as fh:
+        fh.write('{"kind": "foreign-')  # writer killed mid-append
+    assert [f["shard"] for f in load_findings(log)] == [1]
+
+
 # ---- check_shard_write ------------------------------------------------------
 
 

@@ -119,6 +119,21 @@ class TestEventSchema:
         empty.write_text("")
         assert validate_trace_file(empty)
 
+    def test_torn_final_line_is_a_reported_problem(self, tmp_path, capsys):
+        from repro.obs.events import main
+        path = tmp_path / "t.jsonl"
+        with JsonlWriter(path):
+            pass
+        with path.open("a") as fh:
+            fh.write('{"type": "event", "na')  # writer killed mid-line
+        # The shared reader drops the torn tail; the validator still
+        # reports it, so the CI trace check fails the file.
+        assert len(read_jsonl(path)) == 1
+        problems = validate_trace_file(path)
+        assert len(problems) == 1 and "torn" in problems[0]
+        assert main([str(path)]) == 1
+        assert "torn" in capsys.readouterr().err
+
     def test_module_validator_cli(self, tmp_path, capsys):
         from repro.obs.events import main
         path = tmp_path / "t.jsonl"
