@@ -26,6 +26,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +51,8 @@ from repro.resilience import (
     RetryPolicy,
     config_token,
     load_journal,
-    set_checkpoint_defaults,
 )
+from repro.runconfig import current, install
 
 KILL_AFTER = 500  # fresh evaluations the child survives before "SIGKILL"
 
@@ -127,7 +128,7 @@ def check_faulted_sweep(state_dir: Path) -> None:
 
 def run_child(checkpoint_dir: Path) -> None:
     """Child mode: checkpointed sweep that dies after KILL_AFTER evals."""
-    set_checkpoint_defaults(directory=checkpoint_dir)
+    install(replace(current(), checkpoint=checkpoint_dir))
     brute_force_search(_space(), ExitAfter(_surrogate(), n=KILL_AFTER),
                        batch_size=64)
     sys.exit("unreachable: ExitAfter must have killed the sweep")
@@ -153,9 +154,10 @@ def check_kill_and_resume(state_dir: Path) -> None:
               f"expected a partial ledger")
 
     baseline = brute_force_search(space, _surrogate())
-    set_checkpoint_defaults(directory=checkpoint_dir, resume=True)
+    previous = install(replace(current(), checkpoint=checkpoint_dir,
+                               resume=True))
     resumed = brute_force_search(space, _surrogate())
-    set_checkpoint_defaults(directory=None)
+    install(previous)
 
     if (resumed.best_config != baseline.best_config
             or resumed.best_cost != baseline.best_cost):

@@ -1,9 +1,10 @@
 """Runtime concurrency sanitizer: the dynamic half of the C2L2xx rules.
 
 The static flow pass (:mod:`repro.analysis.flow`) proves what it can
-see; this module watches what actually happens.  When
-``C2BOUND_SANITIZE=1`` is set, :class:`~repro.sim.cache_store.
-SimCacheStore` arms a per-instance check at its disk-write choke point
+see; this module watches what actually happens.  When the installed
+:class:`~repro.runconfig.RunConfig` has ``sanitize`` set (seeded by
+``C2BOUND_SANITIZE=1``), :class:`~repro.sim.cache_store.SimCacheStore`
+arms a per-instance check at its disk-write choke point
 (``_persist``): a write landing in a shard the store does not own is a
 single-writer violation — by construction unreachable through the
 public ``put()`` path, so any finding is a real bug (state smuggled
@@ -12,7 +13,8 @@ refactor breaking ownership).  The fabric stamps each scoped slot store
 with ``sanitize_slot`` so findings name the offending worker slot.
 
 Findings are JSONL records (schema ``c2bound.sanitize/1``), appended to
-``$C2BOUND_SANITIZE_LOG`` when set, and always counted on the
+the config's ``sanitize_log`` (``$C2BOUND_SANITIZE_LOG``) when set, and
+always counted on the
 ``analysis.sanitize.findings`` metric — so the chaos/fabric equivalence
 suites double as a race detector by asserting the log stays empty.
 
@@ -29,14 +31,12 @@ from typing import Any, Protocol
 
 from repro.errors import AnalysisError
 from repro.obs import get_registry
+from repro.runconfig import current
 
-__all__ = ["SANITIZE_SCHEMA", "ENV_FLAG", "ENV_LOG", "sanitize_enabled",
-           "sanitize_log_path", "record_finding", "check_shard_write",
+__all__ = ["SANITIZE_SCHEMA", "record_finding", "check_shard_write",
            "load_findings"]
 
 SANITIZE_SCHEMA = "c2bound.sanitize/1"
-ENV_FLAG = "C2BOUND_SANITIZE"
-ENV_LOG = "C2BOUND_SANITIZE_LOG"
 
 #: serializes appends from threads sharing one process (pool workers
 #: are separate processes and rely on O_APPEND line atomicity instead)
@@ -52,29 +52,19 @@ class _ShardedStore(Protocol):
     def root(self) -> Any: ...
 
 
-def sanitize_enabled() -> bool:
-    """Whether the sanitizer is armed (``C2BOUND_SANITIZE`` truthy)."""
-    return os.environ.get(ENV_FLAG, "") not in ("", "0")
-
-
-def sanitize_log_path() -> "str | None":
-    """Findings log destination (``C2BOUND_SANITIZE_LOG``), if any."""
-    return os.environ.get(ENV_LOG) or None
-
-
 def record_finding(kind: str, **fields: Any) -> "dict[str, Any]":
     """Emit one sanitizer finding; returns the record.
 
     The record always reaches the ``analysis.sanitize.findings``
-    counter; it additionally lands in the JSONL log when
-    ``C2BOUND_SANITIZE_LOG`` points somewhere.  Recording never raises:
+    counter; it additionally lands in the JSONL log when the run
+    config's ``sanitize_log`` points somewhere.  Recording never raises:
     a sanitizer must not turn an observation into a crash.
     """
     record: "dict[str, Any]" = {"schema": SANITIZE_SCHEMA, "kind": kind,
                                 "pid": os.getpid()}
     record.update(fields)
     get_registry().counter("analysis.sanitize.findings").inc()
-    path = sanitize_log_path()
+    path = current().sanitize_log
     if path is not None:
         # Imported here: every cache store imports this module, and
         # only a logged finding needs the log format.

@@ -175,9 +175,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "wall time, metrics) to FILE")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress stdout (files are still written)")
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="process-pool workers for parallel DSE "
-                             "evaluation (default 1 = inline)")
     parser.add_argument("--batch-size", type=int, default=None, metavar="B",
                         help="design points per batched evaluator call "
                              "(default 2048)")
@@ -233,37 +230,53 @@ def main(argv: "list[str] | None" = None) -> int:
                   "profile (--workload, --n-ops)")
         return 0
 
-    sim_store = _configure_sim_cache(args)
+    from dataclasses import replace
+
+    from repro.runconfig import RunConfig, install
+
+    # Flag precedence for the cache: --no-sim-cache > --sim-cache DIR >
+    # $C2BOUND_SIM_CACHE > off.
+    config = RunConfig.from_env()
+    if args.no_sim_cache:
+        config = replace(config, sim_cache=None)
+    elif args.sim_cache is not None:
+        from repro.sim.cache_store import SimCacheStore
+        config = replace(config, sim_cache=SimCacheStore(args.sim_cache))
     if args.experiment == "cache":
-        return _cache_command(args, reporter, sim_store)
+        return _cache_command(args, reporter, config.sim_cache)
+    if args.resume and args.checkpoint is None:
+        reporter.error("--resume requires --checkpoint DIR")
+        return 2
+    from repro.resilience.checkpoint import new_run_id, read_journal_headers
+
+    config = replace(config, checkpoint=args.checkpoint, resume=args.resume,
+                     run_id=new_run_id())
+    if args.batch_size is not None:
+        config = replace(config, batch_size=args.batch_size)
 
     # Fresh accounting per invocation: tracing always aggregates (for
     # the timing summary); the JSONL sink exists only with --trace.
     registry = get_registry()
     registry.reset()
     tracer = configure_tracing(args.trace, enabled=True)
-    from repro.dse.batch import set_batch_defaults
-    defaults = set_batch_defaults(batch_size=args.batch_size,
-                                  workers=args.workers)
-    run_id, parent_run_ids = _configure_checkpoints(args, reporter)
-    if run_id is None:
-        return 2
     manifest = RunManifest(
         args.experiment,
         config={"out": str(args.out) if args.out else None,
                 "trace": str(args.trace) if args.trace else None,
                 "workload": args.workload, "n_ops": args.n_ops,
-                "workers": defaults.workers,
-                "batch_size": defaults.batch_size,
-                "sim_cache": str(sim_store.root) if sim_store else None,
-                "checkpoint": (str(args.checkpoint)
-                               if args.checkpoint else None),
-                "resume": bool(args.resume)},
+                **config.manifest_config()},
         argv=list(sys.argv[1:]) if argv is None else list(argv),
-        run_id=run_id)
+        run_id=config.run_id)
     if args.checkpoint is not None:
+        # Lineage: the runs that wrote the journals about to be restored.
+        parents: "list[str]" = []
+        if args.resume:
+            parents = sorted({h["run_id"] for h in
+                              read_journal_headers(args.checkpoint)
+                              if h.get("run_id")})
         manifest.set_lineage(resumed=bool(args.resume),
-                             parent_run_ids=parent_run_ids)
+                             parent_run_ids=parents)
+    previous = install(config)
     try:
         if args.experiment == "characterize":
             status = _characterize_command(args, reporter)
@@ -272,59 +285,14 @@ def main(argv: "list[str] | None" = None) -> int:
         if status == 0:
             _write_outputs(args, reporter, tracer, manifest, registry)
     finally:
-        # Close the sink and restore the default disabled tracer so
-        # library use after main() pays no tracing cost.
+        # Close the sink, restore the default disabled tracer and hand
+        # back the previous run config, so library use after main()
+        # pays no tracing cost and inherits none of this run's settings.
         tracer.close()
         from repro.obs import disable_tracing
         disable_tracing()
+        install(previous)
     return status
-
-
-def _configure_checkpoints(args, reporter: Reporter):
-    """Install the process-wide checkpoint wiring from the CLI flags.
-
-    Returns ``(run_id, parent_run_ids)``; a ``None`` run id signals a
-    usage error (``--resume`` without ``--checkpoint``).  Parent run
-    ids are read from the journals about to be restored — the lineage
-    linking a resumed run to the interrupted run(s) that wrote them.
-    """
-    from repro.resilience.checkpoint import (
-        new_run_id,
-        read_journal_headers,
-        set_checkpoint_defaults,
-    )
-
-    if args.checkpoint is None:
-        if args.resume:
-            reporter.error("--resume requires --checkpoint DIR")
-            return None, []
-        set_checkpoint_defaults(directory=None)
-        return new_run_id(), []
-    run_id = new_run_id()
-    parents: list[str] = []
-    if args.resume:
-        parents = sorted({h["run_id"] for h in
-                          read_journal_headers(args.checkpoint)
-                          if h.get("run_id")})
-    set_checkpoint_defaults(directory=args.checkpoint, resume=args.resume,
-                            run_id=run_id)
-    return run_id, parents
-
-
-def _configure_sim_cache(args):
-    """Install the process-wide simulation store from the CLI flags.
-
-    Returns the active store (``None`` when caching is off).  Flag
-    precedence: ``--no-sim-cache`` > ``--sim-cache DIR`` >
-    ``$C2BOUND_SIM_CACHE`` > off.
-    """
-    from repro.sim.cache_store import get_default_store, set_default_store
-
-    if args.no_sim_cache:
-        return set_default_store(None)
-    if args.sim_cache is not None:
-        return set_default_store(args.sim_cache)
-    return get_default_store()
 
 
 def _cache_command(args, reporter: Reporter, store) -> int:

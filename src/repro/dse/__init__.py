@@ -15,9 +15,8 @@
 - :mod:`repro.dse.ga` / :mod:`repro.dse.rsm` — the related-work
   genetic-algorithm and response-surface baselines.
 - :mod:`repro.dse.brute` — exhaustive sweep.
-- :mod:`repro.dse.batch` — batch slicing and the
-  ``--workers``/``--batch-size`` defaults every search method rides on;
-  contract in ``docs/DSE_PERFORMANCE.md``.
+- :mod:`repro.dse.batch` — batch slicing and the batch size every
+  search method rides on; contract in ``docs/DSE_PERFORMANCE.md``.
 - :mod:`repro.dse.fabric` — the process pool: the sharded work-stealing
   sweep fabric, with deterministic shard ownership over the simulation
   store's hash ranges, idle-worker stealing for stragglers, crash and
@@ -40,14 +39,7 @@ if TYPE_CHECKING:
         canonical_key,
         is_feasible,
     )
-    from repro.dse.batch import (
-        BatchDefaults,
-        chunked,
-        get_batch_defaults,
-        resolve_batch_size,
-        resolve_workers,
-        set_batch_defaults,
-    )
+    from repro.dse.batch import chunked, resolve_batch_size
     from repro.dse.fabric import (
         FabricEvaluator,
         config_shard,
@@ -68,16 +60,12 @@ __all__ = [
     "SimulatorEvaluator",
     "SurrogateEvaluator",
     "FabricEvaluator",
-    "BatchDefaults",
     "batch_evaluate",
     "canonical_key",
     "chunked",
     "config_shard",
     "make_pool_evaluator",
-    "get_batch_defaults",
-    "set_batch_defaults",
     "resolve_batch_size",
-    "resolve_workers",
     "is_feasible",
     "brute_force_search",
     "APSExplorer",

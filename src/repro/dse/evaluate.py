@@ -135,9 +135,9 @@ class BudgetedEvaluator:
 
     Checkpointing: when wired to a
     :class:`~repro.resilience.checkpoint.CheckpointJournal` (explicitly
-    via ``checkpoint=``, or implicitly through the process-wide
-    :func:`~repro.resilience.checkpoint.set_checkpoint_defaults` the
-    CLI's ``--checkpoint`` flag installs), every charged evaluation is
+    via ``checkpoint=``, or implicitly through the installed
+    :class:`~repro.runconfig.RunConfig`'s ``checkpoint``, which the
+    CLI's ``--checkpoint`` flag sets), every charged evaluation is
     ledgered the moment the budget is spent.  On resume, the restored
     ledger pre-warms the cache; as the deterministic search replays, the
     first hit on each restored point is *accounted as the fresh charge
@@ -174,8 +174,8 @@ class BudgetedEvaluator:
         ``checkpoint`` may be a live
         :class:`~repro.resilience.checkpoint.CheckpointJournal`, a path
         (fresh journal, or resumed when ``resume=True``), or ``None`` —
-        in which case the process-wide checkpoint defaults decide
-        (usually: journaling off).
+        in which case the installed run config decides (usually:
+        journaling off).
         """
         # Imported lazily: repro.resilience.faults imports this module.
         from repro.resilience.checkpoint import (
@@ -493,7 +493,7 @@ class SimulatorEvaluator:
 
     ``cache`` selects the persistent simulation store consulted before
     running the simulator (see :mod:`repro.sim.cache_store`): the
-    default ``"default"`` resolves the process-wide store *at
+    default ``"default"`` resolves the run config's store *at
     construction* — so a pickled evaluator carries the store into
     process-pool workers — ``None`` disables caching, and a path or
     :class:`~repro.sim.cache_store.SimCacheStore` selects a specific

@@ -70,7 +70,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.dse.batch import resolve_workers
 from repro.dse.evaluate import batch_evaluate, canonical_key, is_feasible
 from repro.errors import (
     DeadlineExceededError,
@@ -155,13 +154,11 @@ def _evaluate_unit(evaluator,
     return costs, t_start, time.perf_counter() - t_start
 
 
-def make_pool_evaluator(inner, *, workers: "int | None" = None,
+def make_pool_evaluator(inner, *, workers: int = 1,
                         **kwargs) -> "FabricEvaluator":
     """The pooled wrapper for ``inner``: a :class:`FabricEvaluator`.
 
-    ``workers`` defaults to :class:`~repro.dse.batch.BatchDefaults`
-    (what the CLI's ``--workers`` installs); extra keyword arguments
-    pass through to the fabric.
+    Extra keyword arguments pass through to the fabric.
     """
     return FabricEvaluator(inner, workers=workers, **kwargs)
 
@@ -175,9 +172,8 @@ class FabricEvaluator:
         The wrapped evaluator (pickled with each unit; must be picklable
         when ``workers > 1``).
     workers:
-        Worker-slot count; ``None`` resolves against
-        :func:`~repro.dse.batch.get_batch_defaults`.  With one worker
-        batches run inline (no pool, no shards — still bit-identical).
+        Worker-slot count (default 1).  With one worker batches run
+        inline (no pool, no shards — still bit-identical).
     steal:
         Enable work-stealing (default).  Disabled, each slot only ever
         drains its own shard range — stragglers serialize again, which
@@ -213,15 +209,17 @@ class FabricEvaluator:
     until :meth:`close` (also a context manager).
     """
 
-    def __init__(self, inner, *, workers: "int | None" = None,
+    def __init__(self, inner, *, workers: int = 1,
                  steal: bool = True, unit_size: "int | None" = None,
                  write_behind: int = 64,
                  retry_policy: "RetryPolicy | None" = None,
                  chunk_timeout: "float | None" = None,
                  sleep: Callable[[float], None] = time.sleep,
                  deadline: "Deadline | None" = None) -> None:
+        if workers < 1:
+            raise DesignSpaceError(f"workers must be >= 1, got {workers}")
         self.inner = inner
-        self.workers = resolve_workers(workers)
+        self.workers = int(workers)
         if unit_size is not None and unit_size < 1:
             raise DesignSpaceError(
                 f"unit size must be >= 1, got {unit_size}")

@@ -62,10 +62,13 @@ VOLATILE_METRIC_PREFIXES = ("resilience.", "sim.cache.", "obs.stream.",
                             "profile.", "report.", "service.")
 
 #: Manifest ``config`` keys that describe the *invocation*, not the
-#: computation: output/trace/checkpoint locations and the resume flag.
-#: A resumed twin legitimately differs in all of them.
+#: computation: output/trace/checkpoint locations, the resume flag, and
+#: the execution settings contracted to change wall time only (batch
+#: size, result cache, epoch kernel, sanitizer).  A resumed twin
+#: legitimately differs in all of them.
 VOLATILE_CONFIG_KEYS = ("out", "trace", "checkpoint", "resume",
-                        "sim_cache")
+                        "batch_size", "sim_cache", "sim_kernel",
+                        "sanitize", "sanitize_log")
 
 _TIMELINE_CAP = 200
 _CURVE_CAP = 200

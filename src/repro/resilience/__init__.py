@@ -43,15 +43,12 @@ if TYPE_CHECKING:
     )
     from repro.resilience.checkpoint import (
         CHECKPOINT_SCHEMA,
-        CheckpointDefaults,
         CheckpointJournal,
         checkpoint_hash,
-        get_checkpoint_defaults,
         journal_for_method,
         load_journal,
         new_run_id,
         read_journal_headers,
-        set_checkpoint_defaults,
     )
     from repro.resilience.job_registry import (
         JOBS_SCHEMA,
@@ -77,13 +74,10 @@ __all__ = [
     "deterministic_unit",
     "CHECKPOINT_SCHEMA",
     "CheckpointJournal",
-    "CheckpointDefaults",
     "checkpoint_hash",
     "load_journal",
     "new_run_id",
     "read_journal_headers",
-    "get_checkpoint_defaults",
-    "set_checkpoint_defaults",
     "journal_for_method",
     "JOBS_SCHEMA",
     "JobRegistry",

@@ -32,28 +32,28 @@ state an uninterrupted run would have reached — same best
 configuration, same cost, same total evaluation count
 (``tests/resilience`` enforces this; knobs in ``docs/ROBUSTNESS.md``).
 
-:func:`set_checkpoint_defaults` is the process-wide wiring used by the
-CLI's ``--checkpoint DIR`` / ``--resume`` flags: once set, every
-:class:`~repro.dse.evaluate.BudgetedEvaluator` journals itself into the
-directory (one file per search method) with no search-code changes.
+The CLI's ``--checkpoint DIR`` / ``--resume`` flags set the installed
+:class:`~repro.runconfig.RunConfig`'s ``checkpoint`` / ``resume``: every
+:class:`~repro.dse.evaluate.BudgetedEvaluator` then journals itself
+into the directory (one file per search method, via
+:func:`journal_for_method`) with no search-code changes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import uuid
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator
 
 from repro.errors import CheckpointError
 from repro.io.applog import AppendLog, LogScan, read_first, read_log
 from repro.obs import get_registry
+from repro.runconfig import current
 
 __all__ = ["CHECKPOINT_SCHEMA", "CheckpointJournal", "checkpoint_hash",
-           "load_journal", "CheckpointDefaults", "get_checkpoint_defaults",
-           "set_checkpoint_defaults", "journal_for_method",
-           "read_journal_headers", "new_run_id"]
+           "load_journal", "journal_for_method", "read_journal_headers",
+           "new_run_id"]
 
 CHECKPOINT_SCHEMA = "c2bound.checkpoint/1"
 
@@ -221,52 +221,6 @@ def read_journal_headers(directory: "str | Path") -> "list[dict]":
     return headers
 
 
-# ---- process-wide defaults (the CLI's --checkpoint/--resume wiring) -------
-
-@dataclass
-class CheckpointDefaults:
-    """Process-wide checkpoint wiring.
-
-    Attributes
-    ----------
-    directory:
-        Journal directory; ``None`` (the default) disables journaling.
-    resume:
-        Restore existing journals instead of truncating them.
-    run_id:
-        Identifier stamped into journals this process creates.
-    """
-
-    directory: "Path | None" = None
-    resume: bool = False
-    run_id: "str | None" = None
-
-
-_defaults = CheckpointDefaults()
-_claimed_paths: "set[str]" = set()
-
-
-def get_checkpoint_defaults() -> CheckpointDefaults:
-    """The live defaults object."""
-    return _defaults
-
-
-def set_checkpoint_defaults(*, directory: "str | Path | None" = None,
-                            resume: bool = False,
-                            run_id: "str | None" = None) -> CheckpointDefaults:
-    """Install process-wide checkpoint wiring (CLI / test harness).
-
-    Passing ``directory=None`` turns journaling off.  Claim bookkeeping
-    for per-method file names resets on every call, so consecutive runs
-    in one process map methods to the same file names.
-    """
-    _defaults.directory = Path(directory) if directory is not None else None
-    _defaults.resume = bool(resume)
-    _defaults.run_id = run_id
-    _claimed_paths.clear()
-    return _defaults
-
-
 def _candidate_stems(method: "str | None") -> "Iterator[str]":
     stem = method if method else "search"
     yield stem
@@ -277,7 +231,8 @@ def _candidate_stems(method: "str | None") -> "Iterator[str]":
 
 
 def journal_for_method(method: "str | None"):
-    """Open this process's journal for a search method, per the defaults.
+    """Open this run's journal for a search method, per the installed
+    :class:`~repro.runconfig.RunConfig`.
 
     Returns ``None`` when journaling is off, otherwise
     ``(journal, restored_evals)``.  Each call claims the next free name
@@ -285,19 +240,19 @@ def journal_for_method(method: "str | None"):
     across runs, so a resumed process maps the same searches to the
     same journals it wrote before dying.
     """
-    defaults = _defaults
-    if defaults.directory is None:
+    config = current()
+    if config.checkpoint is None:
         return None
     for stem in _candidate_stems(method):
-        path = defaults.directory / f"{stem}.jsonl"
+        path = Path(config.checkpoint) / f"{stem}.jsonl"
         key = str(path)
-        if key in _claimed_paths:
+        if key in config.journal_claims:
             continue
-        _claimed_paths.add(key)
-        if defaults.resume:
+        config.journal_claims.add(key)
+        if config.resume:
             journal, evals, _states = CheckpointJournal.open_resume(
                 path, method=method)
             return journal, evals
         return CheckpointJournal.create(
-            path, method=method, run_id=defaults.run_id), []
+            path, method=method, run_id=config.run_id), []
     raise AssertionError("unreachable")  # pragma: no cover

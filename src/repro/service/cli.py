@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+from dataclasses import replace
 from pathlib import Path
 
 from repro.errors import InvalidParameterError, ReproError
+from repro.runconfig import RunConfig, install
 from repro.service.server import JobServer, serve_until_signalled
 from repro.service.state import ServiceConfig, ServiceState
 from repro.service.tenants import TenantQuota
@@ -119,15 +121,13 @@ def main(argv: "list[str] | None" = None) -> int:
     except ReproError as exc:
         print(f"error: {exc}")
         return 2
+    run_config = RunConfig.from_env()
     if args.sim_cache is not None:
-        from repro.sim.cache_store import (
-            SimCacheStore,
-            install_signal_flush,
-            set_default_store,
-        )
-        set_default_store(SimCacheStore(args.sim_cache,
-                                        write_behind=args.write_behind))
+        from repro.sim.cache_store import SimCacheStore, install_signal_flush
+        run_config = replace(run_config, sim_cache=SimCacheStore(
+            args.sim_cache, write_behind=args.write_behind))
         install_signal_flush()
+    install(run_config)
     try:
         state = ServiceState(args.state_dir, config)
         server = JobServer(state, host=args.host, port=args.port,

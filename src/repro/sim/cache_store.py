@@ -68,16 +68,16 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis.sanitizer import check_shard_write, sanitize_enabled
+from repro.analysis.sanitizer import check_shard_write
 from repro.errors import InvalidParameterError, ReproError
 from repro.obs import get_registry, get_tracer
+from repro.runconfig import current
 
 __all__ = ["SIM_MODEL_VERSION", "FINGERPRINT_SCHEMA", "SHARD_PREFIX_LEN",
            "SHARD_COUNT", "SimCacheStore", "shard_of_key",
            "sim_cache_key", "sim_cache_keys", "fingerprint",
            "cached_simulate_chip_cost", "verify_fingerprint_schema",
-           "set_default_store", "get_default_store", "resolve_store",
-           "flush_all_stores", "install_signal_flush"]
+           "resolve_store", "flush_all_stores", "install_signal_flush"]
 
 #: Salt folded into every cache key.  Bump on ANY intentional change to
 #: simulator semantics (i.e. whenever ``tests/data/sim_golden.json`` is
@@ -138,10 +138,6 @@ def verify_fingerprint_schema() -> None:
     if problems:
         raise InvalidParameterError(
             "fingerprint schema drift: " + "; ".join(problems))
-
-#: Environment variable enabling the default store for a whole process
-#: tree (the CLI flag takes precedence).
-ENV_VAR = "C2BOUND_SIM_CACHE"
 
 
 def fingerprint(obj):
@@ -357,9 +353,9 @@ class SimCacheStore:
         self.flushed = 0
         #: worker-slot tag for sanitizer findings (set by the fabric)
         self.sanitize_slot: "int | None" = None
-        # env read once per store; the per-write cost of a disabled
+        # read once per store; the per-write cost of a disabled
         # sanitizer is this cached boolean
-        self._sanitize = sanitize_enabled()
+        self._sanitize = current().sanitize
         self._bind_counters()
         if self.write_behind:
             _register_store(self)
@@ -400,10 +396,10 @@ class SimCacheStore:
         self.denied = 0
         self.flushed = 0
         self.sanitize_slot = state.get("sanitize_slot")
-        # re-read the env in the unpickling process: pool workers
-        # inherit the parent's environment, so arming the parent arms
-        # every worker-side clone
-        self._sanitize = sanitize_enabled()
+        # re-read in the unpickling process: pool workers inherit the
+        # parent's run config (or the environment that seeds it), so
+        # arming the parent arms every worker-side clone
+        self._sanitize = current().sanitize
         self._bind_counters()
         if self.write_behind:
             _register_store(self)
@@ -660,50 +656,16 @@ class SimCacheStore:
         return removed
 
 
-# ----- process-wide default store -----------------------------------------
-_default_store: "SimCacheStore | None" = None
-_default_configured = False
-
-
-def set_default_store(store) -> "SimCacheStore | None":
-    """Set the process-wide default store.
-
-    ``store`` may be a :class:`SimCacheStore`, a directory path, or
-    ``None`` to disable caching (overriding :data:`ENV_VAR`).  Returns
-    the installed store.
-    """
-    global _default_store, _default_configured
-    if store is not None and not isinstance(store, SimCacheStore):
-        store = SimCacheStore(store)
-    _default_store = store
-    _default_configured = True
-    return _default_store
-
-
-def get_default_store() -> "SimCacheStore | None":
-    """The process-wide default store (``None`` when caching is off).
-
-    Resolution order: :func:`set_default_store` if it was ever called,
-    else the :data:`ENV_VAR` environment variable, else ``None``.
-    """
-    global _default_store, _default_configured
-    if not _default_configured:
-        env = os.environ.get(ENV_VAR)
-        if env:
-            _default_store = SimCacheStore(env)
-        _default_configured = True
-    return _default_store
-
-
 def resolve_store(cache) -> "SimCacheStore | None":
     """Normalize a user-facing cache argument to a store (or ``None``).
 
-    ``"default"`` resolves against :func:`get_default_store` **now** —
+    ``"default"`` resolves against the installed
+    :class:`~repro.runconfig.RunConfig`'s ``sim_cache`` **now** —
     evaluators call this at construction so the resolved store (a plain
     root path after pickling) travels with them into pool workers.
     """
     if cache == "default":
-        return get_default_store()
+        return current().sim_cache
     if cache is None or isinstance(cache, SimCacheStore):
         return cache
     return SimCacheStore(cache)
@@ -713,13 +675,13 @@ def cached_simulate_chip_cost(chip, workload, seed: int,
                               store: "SimCacheStore | None" = None) -> float:
     """:func:`~repro.sim.cmp.simulate_chip_cost` through a store.
 
-    With ``store=None`` the default store is consulted; with no store
-    configured at all this is exactly the uncached call.
+    With ``store=None`` the run config's store is consulted; with no
+    store configured at all this is exactly the uncached call.
     """
     from repro.sim.cmp import simulate_chip_cost
 
     if store is None:
-        store = get_default_store()
+        store = current().sim_cache
     if store is None:
         return simulate_chip_cost(chip, workload, seed)
     key = sim_cache_key(chip, workload, seed)

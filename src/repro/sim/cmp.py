@@ -21,11 +21,11 @@ from repro.camat.trace import AccessTrace
 from repro.errors import SimulationError
 from repro.metrics.apc import APCMeasurement, LayerAPC
 from repro.obs import get_registry, get_tracer
+from repro.runconfig import current
 from repro.sim.config import SimulatedChip
 from repro.sim.core import CoreModel, CoreResult
 from repro.sim.hierarchy import MemoryHierarchy
-from repro.sim.kernel import (KernelStats, kernel_eligible, kernel_enabled,
-                              run_epoch_kernel)
+from repro.sim.kernel import KernelStats, kernel_eligible, run_epoch_kernel
 
 __all__ = ["CMPSimulator", "SimulationResult", "simulate_chip_cost"]
 
@@ -181,8 +181,8 @@ class CMPSimulator:
         Whether the per-core L1s join the MSI-lite directory.
     use_kernel:
         Force the batched epoch kernel (:mod:`repro.sim.kernel`) on or
-        off; ``None`` (default) follows the ambient
-        :func:`repro.sim.kernel.kernel_enabled` toggle.  Results are
+        off; ``None`` (default) follows the installed
+        :class:`~repro.runconfig.RunConfig`'s ``sim_kernel``.  Results are
         bit-identical either way (pinned by the golden differential
         tests); the flag therefore never enters ``SimCacheStore``
         fingerprints.  Ineligible configurations (SMT, prefetch) run
@@ -251,7 +251,7 @@ class CMPSimulator:
         if self.coherent:
             hierarchy.register_l1s([core.l1 for core in cores])
         requested = (self.use_kernel if self.use_kernel is not None
-                     else kernel_enabled())
+                     else current().sim_kernel)
         kernel_stats: "KernelStats | None" = None
         bypassed = False
         with get_tracer().span("sim.run", cores=self.chip.n_cores,

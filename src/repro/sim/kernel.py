@@ -75,10 +75,11 @@ epochs as ``sim.kernel.ops`` / ``sim.kernel.epochs``.
 
 Toggling
 --------
-The kernel is on by default for eligible runs.  Set the environment
-variable :data:`ENV_KERNEL` (``C2BOUND_SIM_KERNEL``) to ``0``/``off``/
-``false``/``no`` — or pass ``CMPSimulator(chip, use_kernel=False)`` —
-to force the scalar path; results are identical either way, which the
+The kernel is on by default for eligible runs.  Install a
+:class:`~repro.runconfig.RunConfig` with ``sim_kernel=False`` (seeded by
+``C2BOUND_SIM_KERNEL`` set to ``0``/``off``/``false``/``no``) — or pass
+``CMPSimulator(chip, use_kernel=False)`` — to force the scalar path;
+results are identical either way, which the
 CI ``kernel-equivalence`` job asserts on a fixed seed matrix.  Because
 results never differ, the toggle does not enter ``SimCacheStore``
 fingerprints.
@@ -87,7 +88,6 @@ fingerprints.
 from __future__ import annotations
 
 import gc
-import os
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
@@ -99,17 +99,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.sim.core import CoreModel
     from repro.sim.hierarchy import MemoryHierarchy
 
-__all__ = ["ENV_KERNEL", "KernelStats", "kernel_enabled", "kernel_eligible",
-           "run_epoch_kernel"]
-
-ENV_KERNEL = "C2BOUND_SIM_KERNEL"
-
-_OFF_VALUES = {"0", "off", "false", "no"}
-
-
-def kernel_enabled() -> bool:
-    """Ambient kernel toggle (:data:`ENV_KERNEL`, default on)."""
-    return os.environ.get(ENV_KERNEL, "1").strip().lower() not in _OFF_VALUES
+__all__ = ["KernelStats", "kernel_eligible", "run_epoch_kernel"]
 
 
 def kernel_eligible(chip) -> bool:

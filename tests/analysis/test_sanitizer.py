@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import json
 import pickle
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis.sanitizer import (ENV_FLAG, ENV_LOG, SANITIZE_SCHEMA,
-                                      check_shard_write, load_findings,
-                                      record_finding, sanitize_enabled,
-                                      sanitize_log_path)
+from repro.analysis.sanitizer import (SANITIZE_SCHEMA, check_shard_write,
+                                      load_findings, record_finding)
 from repro.obs import get_registry
+from repro.runconfig import RunConfig, current, install
 from repro.sim.cache_store import SimCacheStore, shard_of_key
 
 
@@ -27,36 +27,42 @@ def _k(prefix: str, fill: str = "7") -> str:
     return prefix + fill * (64 - len(prefix))
 
 
+def _configure(**settings) -> None:
+    install(replace(current(), **settings))
+
+
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    """Isolate every test from the session's sanitizer environment
-    (``pytest --sanitize`` arms it globally)."""
-    monkeypatch.delenv(ENV_FLAG, raising=False)
-    monkeypatch.delenv(ENV_LOG, raising=False)
+    """Isolate every test from the session's sanitizer settings
+    (``pytest --sanitize`` arms them globally)."""
+    monkeypatch.delenv("C2BOUND_SANITIZE", raising=False)
+    monkeypatch.delenv("C2BOUND_SANITIZE_LOG", raising=False)
+    _configure(sanitize=False, sanitize_log=None)
 
 
 # ---- environment parsing ----------------------------------------------------
 
 
 def test_disabled_by_default():
-    assert sanitize_enabled() is False
-    assert sanitize_log_path() is None
+    config = RunConfig.from_env()
+    assert config.sanitize is False
+    assert config.sanitize_log is None
 
 
 @pytest.mark.parametrize("value,armed", [
     ("1", True), ("yes", True), ("0", False), ("", False),
 ])
 def test_env_flag_parsing(monkeypatch, value, armed):
-    monkeypatch.setenv(ENV_FLAG, value)
-    assert sanitize_enabled() is armed
+    monkeypatch.setenv("C2BOUND_SANITIZE", value)
+    assert RunConfig.from_env().sanitize is armed
 
 
 # ---- record_finding ---------------------------------------------------------
 
 
-def test_record_finding_counts_and_logs(monkeypatch, tmp_path):
+def test_record_finding_counts_and_logs(tmp_path):
     log = tmp_path / "findings.jsonl"
-    monkeypatch.setenv(ENV_LOG, str(log))
+    _configure(sanitize_log=str(log))
     counter = get_registry().counter("analysis.sanitize.findings")
     before = counter.value
     record = record_finding("foreign-shard-write", shard=3, key="abc")
@@ -74,10 +80,10 @@ def test_record_finding_without_log_still_counts():
     assert counter.value == before + 1
 
 
-def test_record_finding_swallows_log_errors(monkeypatch, tmp_path):
+def test_record_finding_swallows_log_errors(tmp_path):
     # An unwritable log (here: a directory) must not raise — the
     # sanitizer observes, it never crashes the observed code.
-    monkeypatch.setenv(ENV_LOG, str(tmp_path))
+    _configure(sanitize_log=str(tmp_path))
     record_finding("foreign-shard-write", shard=1)
 
 
@@ -85,9 +91,9 @@ def test_load_findings_missing_file_is_empty(tmp_path):
     assert load_findings(tmp_path / "nope.jsonl") == []
 
 
-def test_load_findings_skips_a_torn_tail(monkeypatch, tmp_path):
+def test_load_findings_skips_a_torn_tail(tmp_path):
     log = tmp_path / "findings.jsonl"
-    monkeypatch.setenv(ENV_LOG, str(log))
+    _configure(sanitize_log=str(log))
     record_finding("foreign-shard-write", shard=1)
     with log.open("a") as fh:
         fh.write('{"kind": "foreign-')  # writer killed mid-append
@@ -123,10 +129,9 @@ def test_check_flags_foreign_write():
 
 
 @pytest.fixture
-def armed(monkeypatch, tmp_path):
+def armed(tmp_path):
     log = tmp_path / "findings.jsonl"
-    monkeypatch.setenv(ENV_FLAG, "1")
-    monkeypatch.setenv(ENV_LOG, str(log))
+    _configure(sanitize=True, sanitize_log=str(log))
     return log
 
 
@@ -162,31 +167,29 @@ def test_injected_foreign_write_is_detected_with_shard_and_slot(
     assert finding["schema"] == SANITIZE_SCHEMA
 
 
-def test_pickle_roundtrip_keeps_slot_and_rearms(armed, tmp_path,
-                                                monkeypatch):
+def test_pickle_roundtrip_keeps_slot_and_rearms(armed, tmp_path):
     store = SimCacheStore(tmp_path / "cache",
                           owned_shards=frozenset({3}))
     store.sanitize_slot = 5
     clone = pickle.loads(pickle.dumps(store))
     assert clone.sanitize_slot == 5
     assert clone._sanitize is True
-    # Unpickling re-reads the environment (workers inherit it), so a
+    # Unpickling re-reads the run config (workers inherit it), so a
     # disarmed process yields a disarmed clone.
-    monkeypatch.delenv(ENV_FLAG)
+    _configure(sanitize=False)
     cold = pickle.loads(pickle.dumps(store))
     assert cold.sanitize_slot == 5
     assert cold._sanitize is False
 
 
-def test_arming_is_read_at_construction(monkeypatch, tmp_path):
-    # A store built disarmed stays disarmed: no per-write env reads.
+def test_arming_is_read_at_construction(tmp_path):
+    # A store built disarmed stays disarmed: no per-write config reads.
     foreign_key = _k("ff")
     store = SimCacheStore(tmp_path / "cache", write_behind=8,
                           owned_shards=frozenset({3}))
     assert store._sanitize is False
     log = tmp_path / "late.jsonl"
-    monkeypatch.setenv(ENV_FLAG, "1")
-    monkeypatch.setenv(ENV_LOG, str(log))
+    _configure(sanitize=True, sanitize_log=str(log))
     store._pending[foreign_key] = (2.0, {})
     store.flush()
     assert load_findings(log) == []

@@ -13,10 +13,12 @@ at construction, never per write — is pinned in ``test_sanitizer.py``.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import pytest
 
-from repro.analysis.sanitizer import ENV_FLAG, ENV_LOG, check_shard_write
+from repro.analysis.sanitizer import check_shard_write
+from repro.runconfig import current, install
 from repro.sim.cache_store import SimCacheStore, shard_of_key
 
 
@@ -25,14 +27,13 @@ def _k(prefix: str, fill: str = "7") -> str:
 
 
 @pytest.fixture(autouse=True)
-def _disarmed(monkeypatch):
-    monkeypatch.delenv(ENV_FLAG, raising=False)
-    monkeypatch.delenv(ENV_LOG, raising=False)
+def _disarmed():
+    install(replace(current(), sanitize=False, sanitize_log=None))
 
 
 def test_disabled_buffered_put_stays_microseconds(tmp_path):
     # The sanitizer adds zero code to the buffered put path (its check
-    # sits in _persist); a regression that leaks per-put work — an env
+    # sits in _persist); a regression that leaks per-put work — a config
     # read, a log probe — would blow this ceiling immediately.
     keys = [_k(f"{i % 256:02x}", f"{i % 10:d}") for i in range(2000)]
     best = float("inf")

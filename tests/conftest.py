@@ -6,6 +6,11 @@ generators behind the DSE property/differential tests
 spaces and configuration batches from an explicit seed, so every
 "random" case is reproducible from its parametrized seed alone.
 
+Every test starts from the session's
+:class:`~repro.runconfig.RunConfig` and gets it back afterwards, so a
+test that installs its own config (or runs ``c2bound`` in-process)
+cannot leak settings into the next one.
+
 ``pytest --sanitize`` re-runs any selected suite as a dynamic race
 check: it arms the runtime concurrency sanitizer
 (``C2BOUND_SANITIZE=1``, see :mod:`repro.analysis.sanitizer`) for the
@@ -22,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro.core.params import ApplicationProfile, MachineParameters
+from repro.runconfig import current, install
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -37,15 +43,22 @@ def _sanitize_session(request, tmp_path_factory):
     if not request.config.getoption("--sanitize"):
         yield
         return
-    from repro.analysis.sanitizer import ENV_FLAG, ENV_LOG, load_findings
+    from dataclasses import replace
+
+    from repro.analysis.sanitizer import load_findings
 
     log = tmp_path_factory.mktemp("sanitize") / "findings.jsonl"
-    saved = {name: os.environ.get(name) for name in (ENV_FLAG, ENV_LOG)}
-    os.environ[ENV_FLAG] = "1"
-    os.environ[ENV_LOG] = str(log)
+    # The installed config arms this process and forked pool workers;
+    # the environment arms subprocesses, whose configs seed from it.
+    env = {"C2BOUND_SANITIZE": "1", "C2BOUND_SANITIZE_LOG": str(log)}
+    saved = {name: os.environ.get(name) for name in env}
+    os.environ.update(env)
+    previous = install(replace(current(), sanitize=True,
+                               sanitize_log=str(log)))
     try:
         yield
     finally:
+        install(previous)
         for name, value in saved.items():
             if value is None:
                 os.environ.pop(name, None)
@@ -56,6 +69,14 @@ def _sanitize_session(request, tmp_path_factory):
         f"concurrency sanitizer recorded {len(findings)} finding(s) "
         f"in {log}:\n"
         + "\n".join(repr(f) for f in findings[:10]))
+
+
+@pytest.fixture(autouse=True)
+def _run_config(_sanitize_session):
+    """Run each test under the session's config, restored afterwards."""
+    previous = install(current())
+    yield
+    install(previous)
 
 
 @pytest.fixture

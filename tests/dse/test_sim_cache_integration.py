@@ -17,17 +17,15 @@ import pytest
 
 from repro.dse.evaluate import BudgetedEvaluator, SimulatorEvaluator
 from repro.obs import get_registry
-from repro.sim.cache_store import ENV_VAR, SimCacheStore, set_default_store
+from repro.runconfig import current, install
+from repro.sim.cache_store import SimCacheStore
 from repro.sim.config import SimulatedChip
 from repro.workloads.parsec import parsec_like
 
 
 @pytest.fixture(autouse=True)
-def _no_ambient_store(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    set_default_store(None)
-    yield
-    set_default_store(None)
+def _no_ambient_store():
+    install(replace(current(), sim_cache=None))
 
 
 def _small_space() -> list[dict]:
@@ -93,13 +91,14 @@ def test_batch_path_shares_the_store(tmp_path):
 
 def test_constructor_resolves_default_store_eagerly(tmp_path):
     store = SimCacheStore(tmp_path / "store")
-    set_default_store(store)
+    with_store = replace(current(), sim_cache=store)
+    install(with_store)
     evaluator = SimulatorEvaluator(parsec_like("fluidanimate", n_ops=400))
     assert evaluator.cache is store
-    # Later default changes do not retarget an existing evaluator.
-    set_default_store(None)
+    # Later config changes do not retarget an existing evaluator.
+    install(replace(with_store, sim_cache=None))
     assert evaluator.cache is store
-    # And cache=None opts out even while a default is installed.
-    set_default_store(store)
+    # And cache=None opts out even while a store is installed.
+    install(with_store)
     assert SimulatorEvaluator(
         parsec_like("fluidanimate", n_ops=400), cache=None).cache is None

@@ -1,9 +1,11 @@
 """Fixtures for the resilience suite: evaluators, spaces, isolation.
 
-Checkpoint defaults and the metrics registry are process-wide; the
-autouse fixtures here guarantee every test starts with journaling off
-and a private registry, so chaos tests cannot leak state into each
-other (or into the rest of the suite).
+The metrics registry is process-wide; the autouse fixture here gives
+every test a private one, so chaos tests cannot leak counters into each
+other (or into the rest of the suite).  Journaling is off unless a test
+installs a :class:`~repro.runconfig.RunConfig` with a ``checkpoint``
+directory, and the root conftest restores the session's config after
+every test.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from repro.dse.evaluate import SurrogateEvaluator
 from repro.dse.space import DesignSpace, Parameter
 from repro.laws.gfunction import PowerLawG
 from repro.obs import MetricsRegistry, set_registry
-from repro.resilience import set_checkpoint_defaults
 
 
 @pytest.fixture(autouse=True)
@@ -27,14 +28,6 @@ def fresh_registry() -> MetricsRegistry:
         yield registry
     finally:
         set_registry(previous)
-
-
-@pytest.fixture(autouse=True)
-def _no_checkpoint_defaults():
-    """Every test starts (and ends) with process-wide journaling off."""
-    set_checkpoint_defaults(directory=None)
-    yield
-    set_checkpoint_defaults(directory=None)
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -13,12 +14,11 @@ from repro.resilience import (
     CHECKPOINT_SCHEMA,
     CheckpointJournal,
     checkpoint_hash,
-    get_checkpoint_defaults,
     journal_for_method,
     load_journal,
     read_journal_headers,
-    set_checkpoint_defaults,
 )
+from repro.runconfig import current, install
 
 AWKWARD_COSTS = [0.1 + 0.2, 1e-17, 3.141592653589793, 2.0 ** -1074,
                  math.inf, 123456789.000000001]
@@ -139,11 +139,11 @@ class TestHeadersAndDefaults:
         assert headers[0]["path"].endswith("aps.jsonl")
 
     def test_journal_for_method_off_by_default(self):
-        assert get_checkpoint_defaults().directory is None
+        assert current().checkpoint is None
         assert journal_for_method("aps") is None
 
     def test_journal_for_method_claims_deterministic_names(self, tmp_path):
-        set_checkpoint_defaults(directory=tmp_path, run_id="runX")
+        install(replace(current(), checkpoint=tmp_path, run_id="runX"))
         j1, evals1 = journal_for_method("aps")
         j2, evals2 = journal_for_method("aps")
         j3, _ = journal_for_method(None)
@@ -153,9 +153,9 @@ class TestHeadersAndDefaults:
         assert j2.path.name == "aps-2.jsonl"
         assert j3.path.name == "search.jsonl"
         assert j1.header["run_id"] == "runX"
-        # A new process (new defaults call) maps methods to the same
-        # names — the property resume relies on.
-        set_checkpoint_defaults(directory=tmp_path, resume=True)
+        # A new process (a newly installed config) maps methods to the
+        # same names — the property resume relies on.
+        install(replace(current(), resume=True))
         j1b, _ = journal_for_method("aps")
         j1b.close()
         assert j1b.path.name == "aps.jsonl"
@@ -212,7 +212,7 @@ class TestBudgetedEvaluatorIntegration:
 
     def test_process_defaults_wire_every_search_evaluator(
             self, tmp_path, surrogate, configs):
-        set_checkpoint_defaults(directory=tmp_path, run_id="runZ")
+        install(replace(current(), checkpoint=tmp_path, run_id="runZ"))
         budget = BudgetedEvaluator(surrogate, method="rsm")
         budget.evaluate_batch(configs[:5])
         budget.close()

@@ -17,17 +17,15 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import repro
 from repro.cli import main
 from repro.dse import SurrogateEvaluator, brute_force_search, genetic_search
 from repro.obs import RunManifest, stable_view
-from repro.resilience import (
-    CRASH_EXIT_STATUS,
-    load_journal,
-    set_checkpoint_defaults,
-)
+from repro.resilience import CRASH_EXIT_STATUS, load_journal
+from repro.runconfig import current, install
 
 
 class TestTornJournalResume:
@@ -38,7 +36,7 @@ class TestTornJournalResume:
         baseline = genetic_search(small_space, surrogate, **kwargs)
 
         # A checkpointed run whose journal we then tear mid-stream.
-        set_checkpoint_defaults(directory=tmp_path)
+        install(replace(current(), checkpoint=tmp_path))
         genetic_search(small_space, SurrogateEvaluator(app, machine),
                        **kwargs)
         journal_path = tmp_path / "ga.jsonl"
@@ -46,7 +44,7 @@ class TestTornJournalResume:
         assert len(lines) > 12  # header + enough evals to truncate
         journal_path.write_text("\n".join(lines[:11]) + "\n")
 
-        set_checkpoint_defaults(directory=tmp_path, resume=True)
+        install(replace(current(), resume=True))
         resumed = genetic_search(small_space,
                                  SurrogateEvaluator(app, machine), **kwargs)
         assert resumed.best_config == baseline.best_config
@@ -62,11 +60,13 @@ class TestTornJournalResume:
 
 _CHILD_SCRIPT = """\
 import sys
+from pathlib import Path
 from repro.core.params import ApplicationProfile, MachineParameters
 from repro.dse import SurrogateEvaluator, brute_force_search
 from repro.dse.space import DesignSpace, Parameter
 from repro.laws.gfunction import PowerLawG
-from repro.resilience import ExitAfter, set_checkpoint_defaults
+from repro.resilience import ExitAfter
+from repro.runconfig import RunConfig, install
 
 app = ApplicationProfile(f_seq=0.02, f_mem=0.35, concurrency=4.0,
                          g=PowerLawG(1.0))
@@ -79,7 +79,7 @@ space = DesignSpace([
     Parameter("issue_width", (1, 2, 4, 8)),
     Parameter("rob_size", (32, 128, 512)),
 ])
-set_checkpoint_defaults(directory=sys.argv[1])
+install(RunConfig(checkpoint=Path(sys.argv[1])))
 evaluator = ExitAfter(SurrogateEvaluator(app, machine), n=int(sys.argv[2]))
 brute_force_search(space, evaluator, batch_size=64)
 raise SystemExit("unreachable: ExitAfter must have killed the sweep")
@@ -102,7 +102,7 @@ class TestKilledProcessResume:
         assert 0 < len(partial) < small_space.size
 
         baseline = brute_force_search(small_space, surrogate)
-        set_checkpoint_defaults(directory=tmp_path, resume=True)
+        install(replace(current(), checkpoint=tmp_path, resume=True))
         resumed = brute_force_search(small_space, surrogate)
         assert resumed.best_config == baseline.best_config
         assert resumed.best_cost == baseline.best_cost

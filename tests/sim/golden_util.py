@@ -174,16 +174,16 @@ def run_case(chip, workload, seed: int, *,
     """Simulate one golden case and digest it."""
     from repro.sim.cmp import CMPSimulator, simulate_chip_cost
     from repro.sim.hierarchy import MemoryHierarchy
-    from repro.sim.kernel import kernel_enabled
+    from repro.runconfig import current
 
     rng = np.random.default_rng(seed)
     smt = chip.core.smt_threads
     simulator = CMPSimulator(chip, use_kernel=use_kernel)
     result = simulator.run(workload.streams(chip.n_cores * smt, rng))
     # simulate_chip_cost draws one stream per core (smt=1 chips only);
-    # it follows the ambient kernel toggle, so pin it for the digest.
+    # it follows the run config's kernel toggle, so pin it for the digest.
     if smt == 1:
-        if use_kernel is None or use_kernel == kernel_enabled():
+        if use_kernel is None or use_kernel == current().sim_kernel:
             cost = simulate_chip_cost(chip, workload, seed)
         else:
             rng = np.random.default_rng(seed)

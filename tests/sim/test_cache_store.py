@@ -12,17 +12,15 @@ import pytest
 
 from repro.errors import InvalidParameterError
 from repro.obs import get_registry
+from repro.runconfig import RunConfig, current, install
 from repro.sim.cache_store import (
-    ENV_VAR,
     SHARD_COUNT,
     SHARD_PREFIX_LEN,
     SIM_MODEL_VERSION,
     SimCacheStore,
     cached_simulate_chip_cost,
     fingerprint,
-    get_default_store,
     resolve_store,
-    set_default_store,
     shard_of_key,
     sim_cache_key,
     sim_cache_keys,
@@ -33,12 +31,9 @@ from repro.workloads.parsec import parsec_like
 
 
 @pytest.fixture(autouse=True)
-def _isolate_default_store(monkeypatch):
-    """Each test starts with no default store and no env override."""
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    set_default_store(None)
-    yield
-    set_default_store(None)
+def _isolate_default_store():
+    """Each test starts with no store in the run config."""
+    install(replace(current(), sim_cache=None))
 
 
 # ----- keys ----------------------------------------------------------------
@@ -360,17 +355,15 @@ def test_resolve_store_modes(tmp_path):
 
 
 def test_default_store_from_env(monkeypatch, tmp_path):
-    monkeypatch.setenv(ENV_VAR, str(tmp_path / "envcache"))
-    # Force re-resolution of the (test-isolated) default.
-    import repro.sim.cache_store as mod
-    mod._default_configured = False
-    mod._default_store = None
-    store = get_default_store()
+    monkeypatch.setenv("C2BOUND_SIM_CACHE", str(tmp_path / "envcache"))
+    # An emptied slot re-seeds from the environment on first use.
+    install(None)
+    store = resolve_store("default")
     assert store is not None
     assert store.root == tmp_path / "envcache"
-    # set_default_store(None) overrides the environment.
-    set_default_store(None)
-    assert get_default_store() is None
+    # An installed config overrides the environment.
+    install(RunConfig(sim_cache=None))
+    assert resolve_store("default") is None
 
 
 # ----- the cached entry point ---------------------------------------------
