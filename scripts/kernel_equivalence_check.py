@@ -43,11 +43,17 @@ from repro.workloads.parsec import parsec_like
 
 SEED = 2024
 
+# n=1/2 cover the issue-width x ROB grid; n=10 (a partial 4x4 mesh)
+# and n=64 (a few dozen ops per core, mostly untouched cache sets) run
+# the NoC arithmetic and first-touch tag rows of many-core chips.
 CONFIGS = [{"n": n, "issue_width": iw, "rob_size": rob,
             "l1_kib": 16.0, "l2_kib": 128.0}
            for n in (1, 2)
            for iw in (2, 4)
-           for rob in (32, 64)]
+           for rob in (32, 64)] + [
+    {"n": n, "issue_width": 4, "rob_size": 64,
+     "l1_kib": 16.0, "l2_kib": 128.0}
+    for n in (10, 64)]
 
 
 class PathProbe:

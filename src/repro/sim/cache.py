@@ -1,12 +1,23 @@
 """Set-associative cache with true-LRU replacement.
 
-The tag store is kept in plain Python lists (one row per set): at the
-one-address-at-a-time granularity of the event loop, C-level
+Each set's tag, LRU and dirty state is a plain Python list (a *row*):
+at the one-address-at-a-time granularity of the event loop, C-level
 ``list.index``/``min`` over an 8-16 way row beats NumPy's per-call array
 machinery by an order of magnitude, and the cache is on the hot path of
 every simulated access.  Banking is modeled by the owning component
 (:class:`repro.sim.core.CoreModel` for L1 hit concurrency); this class is
 purely the hit/miss/replacement state.
+
+Rows exist only for sets a run has touched.  The three stores are
+``defaultdict``s keyed by set index whose factory (a C-level
+``partial(list, template)``) creates an empty row on the first
+subscript, so a lookup reads ``tags[set_idx]`` exactly as it would a
+list of rows and the hit path has no extra branch.  A many-core chip
+with a few dozen operations per core touches a small share of its
+sets; building every row eagerly would dominate the run.  The
+non-allocating queries (:meth:`probe`, :meth:`invalidate`,
+:meth:`is_dirty`, :meth:`set_dirty`) read with ``.get`` and never
+create a row: an untouched set holds no line.
 
 Replacement semantics are pinned by the differential golden tests: the
 hit way is the *first* matching way and the victim is the *first* way
@@ -15,6 +26,9 @@ holding the minimum LRU tick — exactly what the previous
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
+from functools import partial
 
 from repro.errors import InvalidParameterError
 from repro.sim.config import CacheConfig
@@ -46,9 +60,12 @@ class SetAssociativeCache:
         self._sets = sets
         self._line_bytes = config.line_bytes
         self._banks = config.banks
-        self._tags: list[list[int]] = [[-1] * assoc for _ in range(sets)]
-        self._lru: list[list[int]] = [[0] * assoc for _ in range(sets)]
-        self._dirty: list[list[bool]] = [[False] * assoc for _ in range(sets)]
+        self._tags: defaultdict[int, list[int]] = defaultdict(
+            partial(list, (-1,) * assoc))
+        self._lru: defaultdict[int, list[int]] = defaultdict(
+            partial(list, (0,) * assoc))
+        self._dirty: defaultdict[int, list[bool]] = defaultdict(
+            partial(list, (False,) * assoc))
         self._tick = 0
         self.hits = 0
         self.misses = 0
@@ -120,7 +137,7 @@ class SetAssociativeCache:
     def probe(self, address: int) -> bool:
         """Non-allocating lookup (no LRU update, no fill)."""
         line = self.line_of(address)
-        return line // self._sets in self._tags[line % self._sets]
+        return line // self._sets in self._tags.get(line % self._sets, ())
 
     def invalidate(self, address: int) -> bool:
         """Drop a line if present; returns whether it was present.
@@ -131,11 +148,10 @@ class SetAssociativeCache:
         line = self.line_of(address)
         set_idx = line % self._sets
         tag = line // self._sets
-        row = self._tags[set_idx]
-        try:
-            way = row.index(tag)
-        except ValueError:
+        row = self._tags.get(set_idx)
+        if row is None or tag not in row:
             return False
+        way = row.index(tag)
         if self._dirty[set_idx][way]:
             self.writebacks += 1
         row[way] = -1
@@ -179,22 +195,22 @@ class SetAssociativeCache:
         """
         line = self.line_of(address)
         set_idx = line % self._sets
-        try:
-            way = self._tags[set_idx].index(line // self._sets)
-        except ValueError:
+        row = self._tags.get(set_idx)
+        tag = line // self._sets
+        if row is None or tag not in row:
             return False
-        self._dirty[set_idx][way] = True
+        self._dirty[set_idx][row.index(tag)] = True
         return True
 
     def is_dirty(self, address: int) -> bool:
         """Whether the (present) line holding ``address`` is dirty."""
         line = self.line_of(address)
         set_idx = line % self._sets
-        try:
-            way = self._tags[set_idx].index(line // self._sets)
-        except ValueError:
+        row = self._tags.get(set_idx)
+        tag = line // self._sets
+        if row is None or tag not in row:
             return False
-        return self._dirty[set_idx][way]
+        return self._dirty[set_idx][row.index(tag)]
 
     @property
     def miss_rate(self) -> float:

@@ -46,8 +46,9 @@ class MemoryHierarchy:
         self._l2_hit_latency = chip.l2_slice.hit_latency
         self.dram = DRAMModel(chip.dram)
         self.noc = MeshNoC(n, chip.noc)
-        # The NoC's flat latency table, indexed directly on the miss
-        # path (its entries are immutable; only `traversals` advances).
+        # The NoC's flat ``src * n + dst`` latency table, indexed
+        # directly on the miss path: each pair is computed on its first
+        # read and never changes after (only `traversals` advances).
         self._noc_lat = self.noc._lat
         self.l2_accesses = 0
         self.l2_hits = 0

@@ -36,7 +36,7 @@ differential suite ``tests/sim/test_kernel_differential.py``):
   seams and on return, so the scalar path always sees its exact state.
 - **Monolithic inlining** — the L1 lookup, MSHR probe/retire/allocate,
   MSI-lite directory bookkeeping, L2 slice lookup, DRAM bank/row-buffer
-  timing and NoC latency table are inlined into one loop body
+  timing and NoC latency lookup are inlined into one loop body
   operating on the *live containers* of the scalar models (tag rows,
   LRU rows, MSHR dict+heap, DRAM bank lists, the sharers directory).
   There is no shadow state: the kernel and the scalar path read and
@@ -171,8 +171,7 @@ class KernelStats:
 _MUT = 21
 
 
-def _core_state(core: "CoreModel", hierarchy: "MemoryHierarchy",
-                noc_lat: "np.ndarray") -> list:
+def _core_state(core: "CoreModel", hierarchy: "MemoryHierarchy") -> list:
     """Build one core's kernel state list (SoA columns + aliases)."""
     chip = hierarchy.chip
     addr = core.addresses
@@ -198,8 +197,8 @@ def _core_state(core: "CoreModel", hierarchy: "MemoryHierarchy",
     coldm[:, 2] = line2 % sets2
     coldm[:, 3] = line2 // sets2
     coldm[:, 4] = line2 % l2cfg.banks
-    coldm[:, 5] = noc_lat[cid * n + home]
-    coldm[:, 6] = noc_lat[home * n + cid]
+    # Mesh latency is symmetric: the way back costs the way out.
+    coldm[:, 5] = coldm[:, 6] = hierarchy.noc.latencies(cid, home)
     coldm[:, 7] = (addr // dramcfg.row_bytes) % dramcfg.banks
     coldm[:, 8] = addr // (dramcfg.row_bytes * dramcfg.banks)
     # The hot matrix is materialized to nested lists (every row is
@@ -420,8 +419,7 @@ def _run_epoch_kernel(cores: "list[CoreModel]",
     stats = KernelStats()
     hpush = heappush
     hpop = heappop
-    noc_lat = np.asarray(hierarchy.noc._lat, dtype=np.int64)
-    states = [_core_state(core, hierarchy, noc_lat) for core in cores]
+    states = [_core_state(core, hierarchy) for core in cores]
     hs = _HierState(hierarchy)
 
     heap: "list[tuple[int, int]]" = []

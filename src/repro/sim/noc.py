@@ -6,16 +6,59 @@ a request from core ``i`` to slice ``j`` pays router overhead plus
 (no link contention): contention effects the C2-Bound analysis cares
 about are concentrated at the L2 banks and DRAM, which are modeled
 explicitly.
+
+Latencies come from one piece of arithmetic on mesh coordinates
+(:func:`_mesh_latency`), applied two ways: vectorised over a whole
+column of destinations (:meth:`MeshNoC.latencies`, the epoch kernel's
+per-op prep) and per pair through a flat ``src * n + dst`` table that
+fills on first read (the scalar event loop and the kernel's fallback
+paths).  Nothing is precomputed:
+an ``n``-tile mesh has ``n**2`` pairs, and a many-core run with a few
+operations per core reads almost none of them.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.errors import InvalidParameterError
 from repro.sim.config import NoCConfig
 
 __all__ = ["MeshNoC"]
+
+
+def _mesh_latency(src, dst, side: int, config: NoCConfig):
+    """One-way latency between tiles ``src`` and ``dst``.
+
+    Works elementwise on ints and int64 arrays alike, so the scalar
+    table and the vectorised column share one formula.
+    """
+    hops = abs(src % side - dst % side) + abs(src // side - dst // side)
+    return config.router_latency + config.hop_latency * hops
+
+
+class _LatencyTable(dict):
+    """Flat ``src * n + dst`` -> latency map, filled on first read.
+
+    A plain dict subscript for every pair already read; ``__missing__``
+    runs once per new pair.
+    """
+
+    __slots__ = ("_n", "_side", "_config")
+
+    def __init__(self, n_nodes: int, side: int, config: NoCConfig) -> None:
+        super().__init__()
+        self._n = n_nodes
+        self._side = side
+        self._config = config
+
+    def __missing__(self, key: int) -> int:
+        src, dst = divmod(key, self._n)
+        latency = _mesh_latency(src, dst, self._side, self._config)
+        self[key] = latency
+        return latency
 
 
 class MeshNoC:
@@ -28,16 +71,9 @@ class MeshNoC:
         self.config = config
         self.side = max(int(math.ceil(math.sqrt(n_nodes))), 1)
         self.traversals = 0
-        # Flat (src * n + dst) -> latency table: the event loop asks for
-        # the same few pairs millions of times, so the Manhattan-hop
-        # arithmetic is hoisted out of the hot path entirely.
-        side = self.side
-        coords = [(node % side, node // side) for node in range(n_nodes)]
-        self._lat = [
-            config.router_latency
-            + config.hop_latency * (abs(sx - dx) + abs(sy - dy))
-            for sx, sy in coords for dx, dy in coords
-        ]
+        # The event loop asks for the same few pairs millions of times,
+        # so each pair's arithmetic runs once, on its first read.
+        self._lat = _LatencyTable(n_nodes, self.side, config)
 
     def coordinates(self, node: int) -> tuple[int, int]:
         """(x, y) position of a tile."""
@@ -60,17 +96,15 @@ class MeshNoC:
         self.traversals += 1
         return self._lat[src * self.n_nodes + dst]
 
+    def latencies(self, src: "int | np.ndarray",
+                  dst: np.ndarray) -> np.ndarray:
+        """One-way latencies from ``src`` to each tile of the int64
+        column ``dst`` (``src`` a tile or a column of equal length).
+
+        Counts no traversal: it prices routes, it does not take them.
+        """
+        return _mesh_latency(src, dst, self.side, self.config)
+
     def round_trip(self, src: int, dst: int) -> int:
         """Request + response latency."""
         return 2 * self.latency(src, dst)
-
-    @property
-    def average_hops(self) -> float:
-        """Mean hop count over uniformly random (src, dst) pairs.
-
-        Closed form for a full ``k x k`` mesh: ``2*(k^2-1)/(3k)``; used by
-        the analytic model to estimate remote-L2 latency without
-        enumerating pairs.
-        """
-        k = self.side
-        return 2.0 * (k * k - 1.0) / (3.0 * k)

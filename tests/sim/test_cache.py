@@ -100,6 +100,39 @@ class TestHitMissSemantics:
         assert c.miss_rate == 1.0
 
 
+class TestRowsOnFirstTouch:
+    """Set rows exist only for sets a run has touched."""
+
+    @staticmethod
+    def rows(c: SetAssociativeCache) -> "tuple[int, int, int]":
+        return len(c._tags), len(c._lru), len(c._dirty)
+
+    def test_fresh_cache_holds_no_rows(self):
+        assert self.rows(make_cache()) == (0, 0, 0)
+
+    def test_queries_on_an_untouched_set_create_no_row(self):
+        c = make_cache()
+        assert not c.probe(0)
+        assert not c.invalidate(0)
+        assert not c.is_dirty(0)
+        assert not c.set_dirty(0)
+        assert self.rows(c) == (0, 0, 0)
+        assert c.writebacks == 0
+
+    def test_access_builds_only_its_own_set(self):
+        c = make_cache()
+        line = c.num_sets + 3  # set 3, tag 1
+        c.access_rw(line * 64, write=True)
+        assert sorted(c._tags) == sorted(c._lru) == sorted(c._dirty) == [3]
+        assert c.is_dirty(line * 64)
+        # A miss in another set of the same queries still builds nothing.
+        assert not c.probe(64)
+        assert not c.invalidate(64)
+        assert sorted(c._tags) == [3]
+        # A new row starts empty: the filled way is the only live one.
+        assert sorted(c._tags[3]) == [-1] * (c.assoc - 1) + [1]
+
+
 class TestConfigValidation:
     def test_bad_line_size(self):
         with pytest.raises(InvalidParameterError):

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.config import SimulatedChip
+from repro.sim.core import CoreModel
 from repro.sim.hierarchy import MemoryHierarchy
 
 
@@ -100,3 +104,33 @@ class TestDeterminism:
         assert a.exec_cycles == b.exec_cycles
         assert a.cores[0].records == b.cores[0].records
         assert a.invalidations == b.invalidations
+
+
+def test_aps_wide_centre_chip_builds_in_bounded_memory():
+    """Set-up is sized to what a run touches, not to the chip.
+
+    The Fig. 12 APS centre: 256 cores with about 15 memory operations
+    each, 49-set x 8-way L1s and 22-set x 16-way L2 slices.  Building
+    every tag row and every NoC pair eagerly traced about 9.4 MiB;
+    rows on first touch and pair latencies on first read trace about
+    1.4-1.7 MiB.
+    """
+    base = SimulatedChip()
+    chip = replace(base, n_cores=256,
+                   l1=replace(base.l1, size_kib=24.5),
+                   l2_slice=replace(base.l2_slice, size_kib=22.0))
+    assert (chip.l1.num_sets, chip.l1.assoc) == (49, 8)
+    assert (chip.l2_slice.num_sets, chip.l2_slice.assoc) == (22, 16)
+    rng = np.random.default_rng(0)
+    streams = [(rng.integers(0, 1 << 20, 15) * 64, np.ones(15, np.int64))
+               for _ in range(chip.n_cores)]
+    tracemalloc.start()
+    try:
+        hierarchy = MemoryHierarchy(chip)
+        cores = [CoreModel(i, chip.core, chip.l1, addresses, gaps)
+                 for i, (addresses, gaps) in enumerate(streams)]
+        hierarchy.register_l1s([core.l1 for core in cores])
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traced < 2.5 * 2**20

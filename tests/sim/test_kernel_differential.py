@@ -41,7 +41,9 @@ _BASE = SimulatedChip()
 # A menu of valid geometries instead of free draws: every entry is a
 # legal config, and together they cover the structural extremes — one
 # MSHR (inline stall path), one-set caches (constant eviction), a free
-# NoC (zero-latency ties), and the default geometry.
+# NoC (zero-latency ties), the default geometry — and partial meshes
+# wider than 2x2 (10 tiles on 4x4, 17 on 5x5, with a few ops per core),
+# where a wrong tile-to-coordinate mapping changes NoC latencies.
 _CHIPS = [
     replace(_BASE, n_cores=2),
     replace(_BASE, n_cores=1),
@@ -54,6 +56,9 @@ _CHIPS = [
             l2_slice=replace(_BASE.l2_slice, size_kib=1.0, assoc=16)),
     replace(_BASE, n_cores=2,
             noc=NoCConfig(hop_latency=0, router_latency=0)),
+    replace(_BASE, n_cores=10),
+    replace(_BASE, n_cores=17, noc=NoCConfig(hop_latency=3,
+                                             router_latency=2)),
 ]
 
 # 48 distinct lines within a few L1 sets: small enough that streams
@@ -67,8 +72,9 @@ def _case(draw):
     chip = _CHIPS[draw(st.integers(0, len(_CHIPS) - 1))]
     line_bytes = chip.l1.line_bytes
     streams = []
+    max_ops = 48 if chip.n_cores <= 4 else 8
     for _ in range(chip.n_cores):
-        n = draw(st.integers(1, 48))
+        n = draw(st.integers(1, max_ops))
         lines = draw(st.lists(st.integers(0, _LINE_POOL - 1),
                               min_size=n, max_size=n))
         offsets = draw(st.lists(st.integers(0, line_bytes - 1),

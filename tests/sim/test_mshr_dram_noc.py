@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError
@@ -124,8 +125,27 @@ class TestNoC:
         with pytest.raises(InvalidParameterError):
             MeshNoC(4, NoCConfig()).hops(0, 4)
 
-    def test_average_hops_closed_form(self):
-        noc = MeshNoC(16, NoCConfig())
-        # Brute-force average over all pairs of the full 4x4 mesh.
-        total = sum(noc.hops(s, d) for s in range(16) for d in range(16))
-        assert noc.average_hops == pytest.approx(total / 256.0)
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 17, 256])
+    def test_latency_is_mesh_arithmetic_for_every_pair(self, n):
+        cfg = NoCConfig(hop_latency=3, router_latency=2)
+        noc = MeshNoC(n, cfg)
+        want = [[cfg.router_latency + cfg.hop_latency * noc.hops(s, d)
+                 for d in range(n)] for s in range(n)]
+        assert [[noc.latency(s, d) for d in range(n)]
+                for s in range(n)] == want
+        nodes = np.arange(n, dtype=np.int64)
+        assert [noc.latencies(s, nodes).tolist() for s in range(n)] == want
+        assert noc.traversals == n * n
+
+    def test_latency_table_fills_on_first_read(self):
+        noc = MeshNoC(256, NoCConfig())
+        assert len(noc._lat) == 0
+        noc.latency(255, 0)
+        noc.latency(255, 0)
+        assert len(noc._lat) == 1
+
+    def test_latency_range_check(self):
+        noc = MeshNoC(10, NoCConfig())
+        for src, dst in [(0, 10), (10, 0), (-1, 0), (0, -1)]:
+            with pytest.raises(InvalidParameterError):
+                noc.latency(src, dst)
