@@ -64,8 +64,9 @@ VOLATILE_METRIC_PREFIXES = ("resilience.", "sim.cache.", "obs.stream.",
 #: Manifest ``config`` keys that describe the *invocation*, not the
 #: computation: output/trace/checkpoint locations, the resume flag, and
 #: the execution settings contracted to change wall time only (batch
-#: size, result cache, epoch kernel, sanitizer).  A resumed twin
-#: legitimately differs in all of them.
+#: size, result cache, sanitizer).  A resumed twin legitimately differs
+#: in all of them.  The epoch-kernel switch is no longer a setting, but
+#: manifests written while it was one still carry its key.
 VOLATILE_CONFIG_KEYS = ("out", "trace", "checkpoint", "resume",
                         "batch_size", "sim_cache", "sim_kernel",
                         "sanitize", "sanitize_log")

@@ -11,8 +11,6 @@ computes — lives in one :class:`RunConfig`:
   and the id stamped into the journals this run creates;
 - ``sim_cache``: the live :class:`~repro.sim.cache_store.SimCacheStore`
   behind ``cache="default"``, or ``None``;
-- ``sim_kernel``: whether :class:`~repro.sim.cmp.CMPSimulator` runs
-  eligible chips through the epoch kernel;
 - ``sanitize`` / ``sanitize_log``: the runtime shard sanitizer and its
   findings log (:mod:`repro.analysis.sanitizer`).
 
@@ -44,9 +42,6 @@ if TYPE_CHECKING:
 
 __all__ = ["RunConfig", "current", "install"]
 
-_OFF_VALUES = ("0", "off", "false", "no")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """The process-wide run settings (see the module docstring).
@@ -61,7 +56,6 @@ class RunConfig:
     resume: bool = False
     run_id: "str | None" = None
     sim_cache: "SimCacheStore | None" = None
-    sim_kernel: bool = True
     sanitize: bool = False
     sanitize_log: "str | None" = None
     journal_claims: "set[str]" = field(default_factory=set, init=False,
@@ -77,8 +71,6 @@ class RunConfig:
         """The defaults, with the ``C2BOUND_*`` environment seeds applied:
 
         - ``C2BOUND_SIM_CACHE=DIR`` opens a result cache at ``DIR``;
-        - ``C2BOUND_SIM_KERNEL`` set to ``0``/``off``/``false``/``no``
-          forces the scalar simulator;
         - ``C2BOUND_SANITIZE`` set to anything but empty or ``0`` arms
           the sanitizer, which logs to ``C2BOUND_SANITIZE_LOG``.
         """
@@ -98,7 +90,6 @@ class RunConfig:
                 "resume": self.resume,
                 "sim_cache": (str(self.sim_cache.root)
                               if self.sim_cache is not None else None),
-                "sim_kernel": self.sim_kernel,
                 "sanitize": self.sanitize,
                 "sanitize_log": self.sanitize_log}
 
@@ -106,9 +97,7 @@ class RunConfig:
 def _env_settings() -> dict:
     """The environment's settings other than the result cache."""
     env = os.environ
-    kernel = env.get("C2BOUND_SIM_KERNEL", "1").strip().lower()
-    return {"sim_kernel": kernel not in _OFF_VALUES,
-            "sanitize": env.get("C2BOUND_SANITIZE", "") not in ("", "0"),
+    return {"sanitize": env.get("C2BOUND_SANITIZE", "") not in ("", "0"),
             "sanitize_log": env.get("C2BOUND_SANITIZE_LOG") or None}
 
 

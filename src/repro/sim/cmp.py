@@ -21,7 +21,6 @@ from repro.camat.trace import AccessTrace
 from repro.errors import SimulationError
 from repro.metrics.apc import APCMeasurement, LayerAPC
 from repro.obs import get_registry, get_tracer
-from repro.runconfig import current
 from repro.sim.config import SimulatedChip
 from repro.sim.core import CoreModel, CoreResult
 from repro.sim.hierarchy import MemoryHierarchy
@@ -180,18 +179,11 @@ class CMPSimulator:
     coherent:
         Whether the per-core L1s join the MSI-lite directory.
     use_kernel:
-        Force the batched epoch kernel (:mod:`repro.sim.kernel`) on or
-        off; ``None`` (default) follows the installed
-        :class:`~repro.runconfig.RunConfig`'s ``sim_kernel``.  Results are
-        bit-identical either way (pinned by the golden differential
-        tests); the flag therefore never enters ``SimCacheStore``
-        fingerprints.  Ineligible configurations (SMT, prefetch) run
-        the scalar loop regardless and count a
-        ``sim.kernel.bypass_runs``.
+        ``False`` runs the scalar reference loop instead of the epoch kernel.
     """
 
     def __init__(self, chip: SimulatedChip, *, coherent: bool = True,
-                 use_kernel: "bool | None" = None) -> None:
+                 use_kernel: bool = True) -> None:
         self.chip = chip
         self.coherent = coherent
         self.use_kernel = use_kernel
@@ -250,16 +242,14 @@ class CMPSimulator:
             ]
         if self.coherent:
             hierarchy.register_l1s([core.l1 for core in cores])
-        requested = (self.use_kernel if self.use_kernel is not None
-                     else current().sim_kernel)
         kernel_stats: "KernelStats | None" = None
         bypassed = False
         with get_tracer().span("sim.run", cores=self.chip.n_cores,
                                smt=smt, coherent=self.coherent):
-            if requested and kernel_eligible(self.chip):
+            if self.use_kernel and kernel_eligible(self.chip):
                 kernel_stats = run_epoch_kernel(cores, hierarchy)
             else:
-                bypassed = requested
+                bypassed = self.use_kernel
                 heap: list[tuple[int, int]] = []
                 for core in cores:
                     if not core.done:

@@ -73,16 +73,11 @@ fallbacks are counted and published as ``sim.kernel.fallbacks``;
 whole-run bypasses as ``sim.kernel.bypass_runs``; fast-path ops and
 epochs as ``sim.kernel.ops`` / ``sim.kernel.epochs``.
 
-Toggling
---------
-The kernel is on by default for eligible runs.  Install a
-:class:`~repro.runconfig.RunConfig` with ``sim_kernel=False`` (seeded by
-``C2BOUND_SIM_KERNEL`` set to ``0``/``off``/``false``/``no``) — or pass
-``CMPSimulator(chip, use_kernel=False)`` — to force the scalar path;
-results are identical either way, which the
-CI ``kernel-equivalence`` job asserts on a fixed seed matrix.  Because
-results never differ, the toggle does not enter ``SimCacheStore``
-fingerprints.
+Reference
+---------
+Every eligible run takes the kernel.  ``CMPSimulator(chip,
+use_kernel=False)`` runs the scalar loop instead; it is the reference
+the differential tests hold the kernel to, bit for bit.
 """
 
 from __future__ import annotations

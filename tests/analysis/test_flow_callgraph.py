@@ -163,14 +163,15 @@ def test_repo_flow_keeps_every_reexport_and_edge(repo_root):
     # moved the settings' readers onto runconfig.current: 21 edges out,
     # 22 in.  Mesh latencies computed from coordinates (repro.sim.noc's
     # shared formula, its lazily filled table and the kernel's
-    # vectorised column) added four.
+    # vectorised column) added four.  Retiring the kernel run setting
+    # removed one (CMPSimulator._run -> runconfig.current).
     from repro._lazy import _reexports
     from repro.analysis.flow import get_flow
     from repro.analysis.source import load_project
 
     flow = get_flow(load_project([repo_root / "src"], root=repo_root))
     assert len(flow.graph.exports) == 308
-    assert sum(len(callees) for callees in flow.edges.values()) == 1397
+    assert sum(len(callees) for callees in flow.edges.values()) == 1396
     for init in (repo_root / "src" / "repro").rglob("__init__.py"):
         package = ".".join(init.parent.relative_to(repo_root / "src").parts)
         for name, (module, attr) in _reexports(str(init)).items():

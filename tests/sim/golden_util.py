@@ -169,30 +169,24 @@ def result_digest(result, cost: float, hierarchy_stats: dict) -> dict:
     }
 
 
-def run_case(chip, workload, seed: int, *,
-             use_kernel: "bool | None" = None) -> dict:
+def run_case(chip, workload, seed: int, *, use_kernel: bool = True) -> dict:
     """Simulate one golden case and digest it."""
     from repro.sim.cmp import CMPSimulator, simulate_chip_cost
-    from repro.sim.hierarchy import MemoryHierarchy
-    from repro.runconfig import current
 
     rng = np.random.default_rng(seed)
     smt = chip.core.smt_threads
     simulator = CMPSimulator(chip, use_kernel=use_kernel)
     result = simulator.run(workload.streams(chip.n_cores * smt, rng))
-    # simulate_chip_cost draws one stream per core (smt=1 chips only);
-    # it follows the run config's kernel toggle, so pin it for the digest.
-    if smt == 1:
-        if use_kernel is None or use_kernel == current().sim_kernel:
-            cost = simulate_chip_cost(chip, workload, seed)
-        else:
-            rng = np.random.default_rng(seed)
-            rerun = simulator.run(workload.streams(chip.n_cores, rng))
-            instructions = rerun.total_instructions
-            cost = (float("inf") if instructions == 0
-                    else rerun.exec_cycles / instructions)
-    else:
+    # simulate_chip_cost draws one stream per core (smt=1 chips only)
+    # and runs the kernel; the scalar side costs its own identical run.
+    if smt > 1:
         cost = float("nan")
+    elif use_kernel:
+        cost = simulate_chip_cost(chip, workload, seed)
+    else:
+        instructions = result.total_instructions
+        cost = (float("inf") if instructions == 0
+                else result.exec_cycles / instructions)
     return result_digest(result, cost, simulator.last_layer_stats)
 
 

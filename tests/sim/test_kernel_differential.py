@@ -1,4 +1,4 @@
-"""Property-based differential wall: kernel ≡ scalar ≡ seed, always.
+"""Differential wall: kernel ≡ scalar ≡ seed, always.
 
 The golden digests (:mod:`tests.sim.test_differential_golden`) pin nine
 hand-picked configurations; this suite closes the gaps between them.
@@ -16,10 +16,14 @@ Equality is exact (integer cycles, full per-access record tuples, layer
 counters, APC, C-AMAT statistics), so any divergence shrinks to a
 minimal stream — typically a handful of ops — that reproduces the
 disagreement deterministically.
+
+A fixed-seed design sweep pins the kernel's costs to the scalar loop's
+and to a digest, and shows that each side ran the path it names.
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -29,8 +33,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.camat.analyzer import TraceAnalyzer
-from repro.sim.cmp import CMPSimulator
+from repro.dse.evaluate import SimulatorEvaluator
+from repro.obs import get_registry
+from repro.runconfig import install
+from repro.sim.cmp import CMPSimulator, simulate_chip_cost
 from repro.sim.config import CacheConfig, NoCConfig, SimulatedChip
+from repro.workloads.parsec import parsec_like
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
 
@@ -155,3 +163,66 @@ def test_analyzer_matches_seed_on_fuzzed_traces(case):
     for core_id in range(chip.n_cores):
         assert (result.core_stats(core_id)
                 == analyzer.analyze(result.core_trace(core_id)))
+
+
+# n=1/2 cover the issue-width x ROB grid; n=10 (a partial 4x4 mesh)
+# and n=64 (a few dozen ops per core, mostly untouched cache sets) run
+# the NoC arithmetic and first-touch tag rows of many-core chips.
+_SWEEP = [{"n": n, "issue_width": iw, "rob_size": rob,
+           "l1_kib": 16.0, "l2_kib": 128.0}
+          for n in (1, 2)
+          for iw in (2, 4)
+          for rob in (32, 64)] + [
+    {"n": n, "issue_width": 4, "rob_size": 64,
+     "l1_kib": 16.0, "l2_kib": 128.0}
+    for n in (10, 64)]
+_SWEEP_SEED = 2024
+
+
+def _kernel_ops_during(run):
+    """``run()``'s result and the epoch-kernel ops it stepped."""
+    ops = get_registry().counter("sim.kernel.ops")
+    before = ops.value
+    result = run()
+    return result, ops.value - before
+
+
+def test_fixed_sweep_kernel_matches_scalar_and_digest():
+    workload = parsec_like("fluidanimate", n_ops=1_500)
+    evaluator = SimulatorEvaluator(
+        workload, seed=_SWEEP_SEED,
+        base_chip=replace(SimulatedChip(), n_cores=2), cache=None)
+    chips = [evaluator.chip_for(config) for config in _SWEEP]
+
+    kernel, kernel_ops = _kernel_ops_during(lambda: np.asarray(
+        [evaluator.evaluate(config) for config in _SWEEP]))
+
+    def scalar_costs():
+        costs = []
+        for chip in chips:
+            streams = workload.streams(
+                chip.n_cores, np.random.default_rng(_SWEEP_SEED))
+            result = CMPSimulator(chip, use_kernel=False).run(streams)
+            costs.append(result.exec_cycles / result.total_instructions)
+        return np.asarray(costs)
+
+    scalar, scalar_ops = _kernel_ops_during(scalar_costs)
+
+    assert np.array_equal(kernel, scalar)
+    assert hashlib.sha256(kernel.tobytes()).hexdigest()[:16] == (
+        "72fce8034e5bf196")
+    assert kernel_ops > 0
+    assert scalar_ops == 0
+
+
+def test_environment_does_not_pick_the_path(monkeypatch):
+    # The variable used to force the scalar loop; no setting does now.
+    monkeypatch.setenv("C2BOUND_SIM_KERNEL", "0")
+    previous = install(None)
+    try:
+        chip = replace(SimulatedChip(), n_cores=2)
+        _, ops = _kernel_ops_during(lambda: simulate_chip_cost(
+            chip, parsec_like("fluidanimate", n_ops=200), _SWEEP_SEED))
+    finally:
+        install(previous)
+    assert ops > 0

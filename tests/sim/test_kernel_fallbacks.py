@@ -15,8 +15,10 @@ mechanisms, each pinned here with a workload built to trigger it:
   structurally ineligible and run the scalar loop wholesale
   (``sim.kernel.bypass_runs``).
 
-Each scenario also re-asserts kernel/scalar equality, so the seams
-stay bit-exact where they are actually stressed.
+These are the only places the scalar loop still runs on its own; an
+explicit ``CMPSimulator(chip, use_kernel=False)`` runs it as the
+reference.  Each scenario re-asserts kernel/scalar equality against
+that reference, so the seams stay bit-exact where they are stressed.
 """
 
 from __future__ import annotations

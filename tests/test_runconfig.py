@@ -18,8 +18,7 @@ from repro.resilience.checkpoint import journal_for_method
 from repro.runconfig import RunConfig, current, install
 
 SRC = Path(repro.__file__).resolve().parent
-ENV_NAMES = ("C2BOUND_SIM_CACHE", "C2BOUND_SIM_KERNEL", "C2BOUND_SANITIZE",
-             "C2BOUND_SANITIZE_LOG")
+ENV_NAMES = ("C2BOUND_SIM_CACHE", "C2BOUND_SANITIZE", "C2BOUND_SANITIZE_LOG")
 
 
 @pytest.fixture
@@ -69,7 +68,6 @@ def test_from_env_defaults(clean_env):
     assert config == RunConfig()
     assert config.batch_size == 2048
     assert config.sim_cache is None
-    assert config.sim_kernel is True
     assert (config.sanitize, config.sanitize_log) == (False, None)
     assert (config.checkpoint, config.resume, config.run_id) == (
         None, False, None)
@@ -81,15 +79,6 @@ def test_from_env_sim_cache(clean_env, tmp_path):
     assert store is not None and store.root == tmp_path / "store"
     clean_env.setenv("C2BOUND_SIM_CACHE", "")
     assert RunConfig.from_env().sim_cache is None
-
-
-@pytest.mark.parametrize("value,enabled", [
-    ("0", False), ("off", False), ("false", False), ("no", False),
-    (" OFF ", False), ("1", True), ("on", True), ("", True),
-])
-def test_from_env_sim_kernel(clean_env, value, enabled):
-    clean_env.setenv("C2BOUND_SIM_KERNEL", value)
-    assert RunConfig.from_env().sim_kernel is enabled
 
 
 def test_seeding_opens_the_env_store_armed(clean_env, tmp_path):
@@ -133,8 +122,8 @@ def test_install_returns_previous_and_none_reseeds(clean_env):
     before = install(mine)
     assert current() is mine
     assert install(None) is mine
-    clean_env.setenv("C2BOUND_SIM_KERNEL", "off")
-    assert current().sim_kernel is False
+    clean_env.setenv("C2BOUND_SANITIZE", "1")
+    assert current().sanitize is True
     install(before)
 
 
@@ -222,3 +211,21 @@ def test_diff_treats_batch_size_as_invocation_only(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["diff", str(run_a), str(run_b)]) == 0
     assert "bit_identical" in capsys.readouterr().out
+
+
+def test_diff_ignores_the_retired_kernel_setting(tmp_path, capsys):
+    # Manifests written while the epoch kernel was a run setting carry
+    # config.sim_kernel; they must still diff identical to newer runs.
+    run_a, run_b = tmp_path / "a", tmp_path / "b"
+    for run in (run_a, run_b):
+        assert cli.main(["fig1", "--quiet", "--out", str(run)]) == 0
+    manifest_path = run_a / "manifest_fig1.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert "sim_kernel" not in manifest["config"]
+    manifest["config"]["sim_kernel"] = True
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["diff", str(run_a), str(run_b)]) == 0
+    out = capsys.readouterr().out
+    assert "verdict: bit_identical" in out
+    assert "config: identical" in out
