@@ -128,10 +128,11 @@ class SimulationResult:
 
         L1 counts all processor accesses across cores; active cycles are
         measured per core and summed (each core's L1 is a separate
-        device, matching the per-layer APC definition).  The per-core
-        analyzer pass is shared with :meth:`core_stats` — each trace is
-        analyzed at most once per result, and the final measurement is
-        memoized.
+        device, matching the per-layer APC definition).  A core whose
+        stream was empty adds no accesses and no active cycles.  The
+        per-core analyzer pass is shared with :meth:`core_stats` — each
+        trace is analyzed at most once per result, and the final
+        measurement is memoized.
         """
         cached = self.__dict__.get("_layer_apc_cache")
         if cached is not None:
@@ -146,7 +147,9 @@ class SimulationResult:
         try:
             l1_acc = 0
             l1_active = 0
-            for core_id in range(len(self.cores)):
+            for core_id, core in enumerate(self.cores):
+                if not core.mem_ops:
+                    continue
                 stats = self.core_stats(core_id)
                 l1_acc += stats.accesses
                 l1_active += stats.memory_active_wall_cycles
@@ -205,10 +208,11 @@ class CMPSimulator:
         paper's "coherent ... L2 cache" variant).
 
         The collector is paused for the whole run (and restored on
-        return, even on error): a simulation allocates hundreds of
-        thousands of small record tuples that all stay reachable until
-        the result is built, so generational passes mid-run are pure
-        overhead — they scan the entire live heap and free nothing.
+        return, even on error): the containers a run allocates (cache
+        rows, MSHR heap pairs, directory sets, the scalar path's ROB
+        pairs) stay reachable until the result is built, so generational
+        passes mid-run are pure overhead — they scan the entire live
+        heap and free nothing.
         """
         enabled = gc.isenabled()
         if enabled:

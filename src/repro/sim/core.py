@@ -15,18 +15,21 @@ mechanisms that create C-AMAT's concurrency parameters:
   secondary misses merging.
 
 Hot-path layout: the per-access loop reads plain Python lists (NumPy
-scalar indexing costs ~10x a list index) and writes records into
-preallocated int64 column arrays, which at the end become a genuine
-:class:`repro.camat.AccessTrace` through the columnar
-:meth:`~repro.camat.trace.AccessTrace.from_arrays` fast path — no
-per-access object is ever built.
+scalar indexing costs ~10x a list index) and writes each access's start
+and miss penalty into two preallocated ``array('q')`` columns (the hit
+latency is one per-core constant).  No per-access record object is
+built: :class:`CoreResult` holds the two columns, and its
+:class:`repro.camat.AccessTrace` views them through ``np.frombuffer``
+on first read, via the columnar
+:meth:`~repro.camat.trace.AccessTrace.from_arrays` fast path.
 """
 
 from __future__ import annotations
 
-import itertools
+from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -57,8 +60,11 @@ class CoreResult:
         Cycle at which the last instruction committed.
     l1_hits, l1_misses:
         L1 outcome counts.
-    records:
-        Per-access ``(start, hit_cycles, miss_penalty)`` tuples.
+    starts, penalties:
+        Per-access start cycle and miss penalty, as int64 columns in
+        access order.
+    hit_latency:
+        Hit cycles of every access (the L1 hit latency).
     """
 
     core_id: int
@@ -67,9 +73,17 @@ class CoreResult:
     finish_cycle: int
     l1_hits: int
     l1_misses: int
-    records: tuple[tuple[int, int, int], ...]
+    starts: "array[int]"
+    penalties: "array[int]"
+    hit_latency: int
     prefetches_issued: int = 0
     prefetches_useful: int = 0
+
+    @property
+    def records(self) -> "tuple[tuple[int, int, int], ...]":
+        """Per-access ``(start, hit_cycles, miss_penalty)`` tuples."""
+        return tuple(zip(self.starts.tolist(), repeat(self.hit_latency),
+                         self.penalties.tolist()))
 
     @property
     def f_mem(self) -> float:
@@ -92,17 +106,19 @@ class CoreResult:
     def trace(self) -> AccessTrace:
         """The core's L1-level access trace (for C-AMAT analysis).
 
-        Built once through the columnar fast path and memoized, so
-        repeated analyses (``layer_apc`` + ``core_stats``) never re-parse
-        the records.
+        Built on first read and memoized, so a cost-only run never
+        builds one and repeated analyses (``layer_apc`` +
+        ``core_stats``) share it.  Its start and penalty columns are
+        views of the record columns, not copies.
         """
         cached = self.__dict__.get("_trace")
         if cached is None:
-            if not self.records:
+            if not self.mem_ops:
                 raise SimulationError("core executed no memory operations")
-            columns = np.asarray(self.records, dtype=np.int64)
             cached = AccessTrace.from_arrays(
-                columns[:, 0], columns[:, 1], columns[:, 2])
+                np.frombuffer(self.starts, dtype=np.int64),
+                np.full(self.mem_ops, self.hit_latency, dtype=np.int64),
+                np.frombuffer(self.penalties, dtype=np.int64))
             # Frozen dataclass: memoize past the __setattr__ guard.
             object.__setattr__(self, "_trace", cached)
         return cached
@@ -157,9 +173,10 @@ class CoreModel:
         self.instr_index = (np.cumsum(gaps)
                             + np.arange(addresses.size, dtype=np.int64))
         # Hot-loop views: plain lists index ~10x faster than ndarrays.
-        # The address/write columns are built lazily (__getattr__): only
-        # the scalar path reads them, so a kernel run that never falls
-        # back skips boxing them entirely.
+        # The address/write columns are boxed on first read
+        # (__getattr__): both paths read the write flags, but only the
+        # scalar path reads the addresses, so a kernel run that never
+        # falls back leaves them unboxed.
         self._instr_list: list[int] = self.instr_index.tolist()
         # Bandwidth-limited issue cycle of each op, divided out once.
         self._base_issue: list[int] = (
@@ -169,14 +186,13 @@ class CoreModel:
         self._bank_free = (shared_banks if shared_banks is not None
                            else [0] * l1_config.banks)
         self._outstanding: deque[tuple[int, int]] = deque()  # (instr idx, done)
-        # Preallocated record slots — one ``(start, hit, penalty)``
-        # tuple per memory op.  A single tuple store per access is
-        # cheaper than three column stores or NumPy element assignment;
-        # both the scalar path and the epoch kernel
-        # (:mod:`repro.sim.kernel`) write the same list in place, and
-        # :meth:`result` turns it into int64 columns once.
-        self._records: "list[tuple[int, int, int]]" = (
-            [(0, 0, 0)] * self._n_ops)
+        # Preallocated, zeroed record columns: op ``j``'s start cycle
+        # and miss penalty (its hit cycles are ``_hit_latency``).  Both
+        # the scalar path and the epoch kernel (:mod:`repro.sim.kernel`)
+        # store into them in place; :meth:`result` hands them over
+        # as they are.
+        self._starts = array("q", bytes(8 * self._n_ops))
+        self._penalties = array("q", bytes(8 * self._n_ops))
         self._last_done = 0
         # Committed-done watermark: the max completion time among entries
         # retired for the *current* op (reset per op), so peek/step never
@@ -197,9 +213,10 @@ class CoreModel:
         self.prefetches_useful = 0
 
     def __getattr__(self, name: str):
-        # Lazily boxed scalar-path columns: only ``advance`` reads
-        # them, so a kernel run with no fallbacks never pays the
-        # NumPy-to-list conversion.  Cached on first access.
+        # Lazily boxed per-op columns, cached on first access.  The
+        # epoch kernel reads ``_write_list`` too; ``_addr_list`` is read
+        # only by ``advance``, so a kernel run with no fallbacks never
+        # converts it.
         if name == "_addr_list":
             value: list = self.addresses.tolist()
         elif name == "_write_list":
@@ -347,7 +364,8 @@ class CoreModel:
                                               write=is_write)
                 mshr.allocate(line, done, alloc)
         penalty = done - issue - hit_lat
-        self._records[j] = (issue, hit_lat, penalty if penalty > 0 else 0)
+        self._starts[j] = issue
+        self._penalties[j] = penalty if penalty > 0 else 0
         outstanding.append((idx, done))
         if done > self._last_done:
             self._last_done = done
@@ -392,26 +410,16 @@ class CoreModel:
             raise SimulationError("core has unprocessed memory ops")
         total_instr = (int(self.gaps.sum()) + self._n_ops)
         bw_finish = total_instr // max(self._issue_width, 1)
-        result = CoreResult(
+        return CoreResult(
             core_id=self.core_id,
             instructions=total_instr,
             mem_ops=int(self._n_ops),
             finish_cycle=max(self._last_done, bw_finish),
             l1_hits=self.l1.hits,
             l1_misses=self.l1.misses,
-            records=tuple(self._records),
+            starts=self._starts,
+            penalties=self._penalties,
+            hit_latency=self._hit_latency,
             prefetches_issued=self.prefetches_issued,
             prefetches_useful=self.prefetches_useful,
         )
-        if self._n_ops:
-            # Seed the memoized trace straight from the record tuples,
-            # skipping the records->array round trip in trace().
-            # fromiter over a chained flat stream converts n small
-            # tuples several times faster than asarray's
-            # sequence-of-sequences path.
-            columns = np.fromiter(
-                itertools.chain.from_iterable(self._records),
-                dtype=np.int64, count=3 * self._n_ops).reshape(-1, 3)
-            object.__setattr__(result, "_trace", AccessTrace.from_arrays(
-                columns[:, 0], columns[:, 1], columns[:, 2]))
-        return result

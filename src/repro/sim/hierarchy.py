@@ -7,12 +7,13 @@ store, banks and MSHRs; misses go to the shared banked DRAM.
 
 The hierarchy also records per-layer access intervals so that APC
 (Fig. 13) and per-layer C-AMAT can be measured after the run via the
-standard :class:`repro.camat.TraceAnalyzer`.
+standard :class:`repro.camat.TraceAnalyzer`.  The records are flat
+``array('q')`` buffers of int pairs, not per-access objects.
 """
 
 from __future__ import annotations
 
-import itertools
+from array import array
 
 import numpy as np
 
@@ -52,8 +53,11 @@ class MemoryHierarchy:
         self._noc_lat = self.noc._lat
         self.l2_accesses = 0
         self.l2_hits = 0
-        self._l2_records: list[tuple[int, int, int]] = []
-        self._dram_records: list[tuple[int, int]] = []
+        # Flat record buffers: ``(start, miss_penalty)`` per L2 access
+        # (its hit cycles are the slice hit latency) and ``(start,
+        # latency)`` per DRAM demand access.
+        self._l2_records = array("q")
+        self._dram_records = array("q")
         self._l2_trace_cache: "AccessTrace | None" = None
         self._dram_trace_cache: "AccessTrace | None" = None
         # MSI-lite directory: L1 line number -> set of sharer core ids.
@@ -172,7 +176,7 @@ class MemoryHierarchy:
             # Secondary miss at L2: ride the in-flight fill.
             done = int(outstanding)
             penalty = max(done - start - hit_lat, 0)
-            self._l2_records.append((start, hit_lat, penalty))
+            self._l2_records.extend((start, penalty))
         else:
             l2_hit, l2_victim = self.slices[home].access_rw(
                 address, write=False)
@@ -182,16 +186,15 @@ class MemoryHierarchy:
             if l2_hit:
                 self.l2_hits += 1
                 done = start + hit_lat
-                self._l2_records.append((start, hit_lat, 0))
+                self._l2_records.extend((start, 0))
             else:
                 alloc = max(start + hit_lat,
                             int(mshr.earliest_free_time(start)))
                 dram_done = int(self.dram.access(address, alloc))
-                self._dram_records.append((alloc, dram_done - alloc))
+                self._dram_records.extend((alloc, dram_done - alloc))
                 mshr.allocate(line, dram_done, alloc)
                 done = dram_done
-                self._l2_records.append(
-                    (start, hit_lat, done - start - hit_lat))
+                self._l2_records.extend((start, done - start - hit_lat))
         noc.traversals += 1
         return done + self._noc_lat[home * self._n_cores + core_id]
 
@@ -199,19 +202,20 @@ class MemoryHierarchy:
     def l2_trace(self) -> "AccessTrace | None":
         """Cycle-level trace of all L2 accesses (None if there were none).
 
-        Built columnar (no per-access objects) and memoized; call only
-        after the event loop drains.
+        Built columnar from the flat record buffer and memoized until
+        more records arrive.  The columns are copied out, so the trace
+        holds no view of the buffer and the buffer can keep growing.
         """
-        if not self._l2_records:
+        count = len(self._l2_records) // 2
+        if not count:
             return None
-        if self._l2_trace_cache is None or len(
-                self._l2_trace_cache) != len(self._l2_records):
-            columns = np.fromiter(
-                itertools.chain.from_iterable(self._l2_records),
-                dtype=np.int64,
-                count=3 * len(self._l2_records)).reshape(-1, 3)
+        if (self._l2_trace_cache is None
+                or len(self._l2_trace_cache) != count):
+            starts, penalties = _columns(self._l2_records)
             self._l2_trace_cache = AccessTrace.from_arrays(
-                columns[:, 0], columns[:, 1], columns[:, 2])
+                starts,
+                np.full(count, self._l2_hit_latency, dtype=np.int64),
+                penalties)
         return self._l2_trace_cache
 
     def dram_trace(self) -> "AccessTrace | None":
@@ -219,17 +223,15 @@ class MemoryHierarchy:
 
         Built columnar and memoized like :meth:`l2_trace`.
         """
-        if not self._dram_records:
+        count = len(self._dram_records) // 2
+        if not count:
             return None
-        if self._dram_trace_cache is None or len(
-                self._dram_trace_cache) != len(self._dram_records):
-            columns = np.fromiter(
-                itertools.chain.from_iterable(self._dram_records),
-                dtype=np.int64,
-                count=2 * len(self._dram_records)).reshape(-1, 2)
+        if (self._dram_trace_cache is None
+                or len(self._dram_trace_cache) != count):
+            starts, latencies = _columns(self._dram_records)
             self._dram_trace_cache = AccessTrace.from_arrays(
-                columns[:, 0], np.maximum(columns[:, 1], 1),
-                np.zeros(len(columns), dtype=np.int64))
+                starts, np.maximum(latencies, 1),
+                np.zeros(count, dtype=np.int64))
         return self._dram_trace_cache
 
     @property
@@ -260,6 +262,12 @@ class MemoryHierarchy:
         for name, value in self.dram.stats().items():
             out[f"dram.{name}"] = value
         return out
+
+
+def _columns(pairs: array) -> np.ndarray:
+    """The two columns of a flat pair buffer, copied into one
+    ``(2, n)`` int64 block (rows are contiguous)."""
+    return np.frombuffer(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
 
 
 def _sum_stats(dicts) -> "list[tuple[str, float]]":

@@ -8,14 +8,14 @@ it while reproducing the scalar semantics *bit for bit* (pinned by
 ``tests/sim/test_differential_golden.py`` and the hypothesis
 differential suite ``tests/sim/test_kernel_differential.py``):
 
-- **Structure-of-arrays epoch prep** — every address decomposition the
-  event loop would compute one op at a time is lifted into NumPy int64
-  column arithmetic, once per core, then materialized as per-op rows: a
-  *hot* row ``(write, l1_line, l1_set, l1_tag, l1_bank)`` consulted on
-  every access, and a *cold* row ``(l2_line, home_slice, l2_set,
-  l2_tag, l2_bank, noc_out, noc_back, dram_bank, dram_row)`` consulted
-  only on L1 misses.  One list index + sequence unpack replaces five to
-  nine scalar column loads.
+- **Structure-of-arrays epoch prep** — the address decompositions the
+  event loop would compute one op at a time are lifted into NumPy int64
+  column arithmetic, once per core.  Every access reads two flat lists,
+  the write flag and the L1 line, and derives the L1 set, tag and bank
+  from the line with three integer ops; a *cold* row ``(l2_line,
+  home_slice, l2_set, l2_tag, l2_bank, noc_out, noc_back, dram_bank,
+  dram_row)`` is consulted only on L1 misses, where one row unpack
+  replaces nine scalar column loads.
 - **Epoch batching** — after popping a core from the ready heap, the
   kernel keeps advancing that core while its next op's issue bound
   provably precedes every other core's next bound (strict
@@ -127,30 +127,36 @@ class KernelStats:
 # Per-core kernel state is one flat list (not an object): an epoch
 # binds all of it into locals with a single UNPACK_SEQUENCE, an order
 # of magnitude cheaper than ~30 slotted attribute loads at the observed
-# handful of ops per epoch.  Layout — indexes 0..20 are fixed for the
-# whole run (SoA rows, live container aliases, geometry), the tail
+# handful of ops per epoch.  Layout — indexes 0..23 are fixed for the
+# whole run (SoA columns, live container aliases, geometry), the tail
 # S[_MUT:] holds the mutable scalar snapshot written back at epoch end:
 #
-#   0 hot    per-op [write, l1_line, l1_set, l1_tag, l1_bank]
-#   1 cold   per-op [l2_line, home, l2_set, l2_tag, l2_bank,
+#   0 writes       per-op write flag (core._write_list)
+#   1 lines        per-op L1 line number; set, tag and bank are derived
+#                  in the loop (line % sets1, line // sets1,
+#                  line % banks1)
+#   2 cold   per-op [l2_line, home, l2_set, l2_tag, l2_bank,
 #                    noc_out, noc_back, dram_bank, dram_row]
 #            (kept as an int64 ndarray; rows are boxed lazily on the
 #            primary-miss path, which is the only consumer)
-#   2 instr        instruction index column (core._instr_list)
-#   3 base_issue   bandwidth-limited issue column (core._base_issue)
-#   4 pmax         ROB pop boundary column: the commit pointer after
+#   3 instr        instruction index column (core._instr_list)
+#   4 base_issue   bandwidth-limited issue column (core._base_issue)
+#   5 pmax         ROB pop boundary column: the commit pointer after
 #                  op j's watermark drain is exactly
 #                  min(j, bisect_right(instr, instr[j] - rob_size)),
 #                  a pure function of the static columns — precomputed
 #                  so the per-op drain is a pointer compare
-#   5 dones        per-op completion cycles (kernel-maintained)
-#   6 bank_free  7 tags1  8 lru1  9 dirty1  10 pending  11 pending.get
-#   12 heap1  13 records          (live CoreModel containers)
-#   14 n_ops  15 hit_lat  16 sets1  17 mshr_capacity  18 line_bytes
-#   19 l1 object  20 core object
-#   -- mutable tail (_MUT = 21) --
-#   21 j  22 barrier  23 retire_max  24 last_done  25 tick1  26 hits1
-#   27 misses1  28 prim1  29 sec1  30 stall1  31 p
+#   6 dones        per-op completion cycles (kernel-maintained)
+#   7 bank_free  8 tags1  9 lru1  10 dirty1  11 pending  12 pending.get
+#   13 heap1  14 starts  15 penalties  (live CoreModel containers; the
+#                  last two are the zeroed array('q') record columns —
+#                  each op's slots are stored once, so a zero penalty
+#                  needs no store)
+#   16 n_ops  17 hit_lat  18 sets1  19 banks1  20 mshr_capacity
+#   21 line_bytes  22 l1 object  23 core object
+#   -- mutable tail (_MUT = 24) --
+#   24 j  25 barrier  26 retire_max  27 last_done  28 tick1  29 hits1
+#   30 misses1  31 prim1  32 sec1  33 stall1  34 p
 #
 # ``last_done`` is carried but not maintained per op: the running max
 # of completion times is recovered at flush seams as
@@ -163,7 +169,7 @@ class KernelStats:
 # increments it in place.  ``_retire_op`` needs no slot either — it is
 # ``j`` by construction at every seam (each op is peeked exactly once
 # before it is processed).
-_MUT = 21
+_MUT = 24
 
 
 def _core_state(core: "CoreModel", hierarchy: "MemoryHierarchy") -> list:
@@ -174,13 +180,6 @@ def _core_state(core: "CoreModel", hierarchy: "MemoryHierarchy") -> list:
     cid = core.core_id
     l1cfg = core.l1.config
     sets1 = core.l1.num_sets
-    line1 = addr // l1cfg.line_bytes
-    hotm = np.empty((addr.size, 5), dtype=np.int64)
-    hotm[:, 0] = core.writes
-    hotm[:, 1] = line1
-    hotm[:, 2] = line1 % sets1
-    hotm[:, 3] = line1 // sets1
-    hotm[:, 4] = line1 % l1cfg.banks
     l2cfg = chip.l2_slice
     dramcfg = chip.dram
     sets2 = hierarchy.slices[0].num_sets
@@ -196,24 +195,25 @@ def _core_state(core: "CoreModel", hierarchy: "MemoryHierarchy") -> list:
     coldm[:, 5] = coldm[:, 6] = hierarchy.noc.latencies(cid, home)
     coldm[:, 7] = (addr // dramcfg.row_bytes) % dramcfg.banks
     coldm[:, 8] = addr // (dramcfg.row_bytes * dramcfg.banks)
-    # The hot matrix is materialized to nested lists (every row is
-    # consumed exactly once, so eager boxing is strictly cheaper);
-    # the cold matrix stays an ndarray and rows are boxed lazily on
-    # the primary-miss path — only ~1/3 of ops ever read one.
+    # Every op reads its write flag and L1 line, so those two columns
+    # are boxed to flat lists eagerly (the write list is the scalar
+    # path's own); the cold matrix stays an ndarray and rows are boxed
+    # lazily on the primary-miss path — only ~1/3 of ops ever read one.
     instr_idx = core.instr_index
     pmax = np.minimum(
         np.searchsorted(instr_idx, instr_idx - core._rob_size,
                         side="right"),
         np.arange(core._n_ops, dtype=np.int64))
     state = [
-        hotm.tolist(), coldm,
+        core._write_list, (addr // l1cfg.line_bytes).tolist(), coldm,
         core._instr_list, core._base_issue,
         pmax.tolist(),
         [0] * core._n_ops,
         core._bank_free, core.l1._tags, core.l1._lru, core.l1._dirty,
         core.mshr._pending, core.mshr._pending.get, core.mshr._heap,
-        core._records, core._n_ops, core._hit_latency, sets1,
-        core.mshr.capacity, core._line_bytes, core.l1, core,
+        core._starts, core._penalties, core._n_ops, core._hit_latency,
+        sets1, l1cfg.banks, core.mshr.capacity, core._line_bytes,
+        core.l1, core,
     ]
     state.extend(0 for _ in range(11))
     _reload_core(state)
@@ -229,10 +229,10 @@ def _reload_core(state: list) -> None:
     the completion column is refreshed from the deque pairs (covering
     the op the scalar path just processed).
     """
-    core = state[20]
+    core = state[23]
     out = core._outstanding
     p = core._next - len(out)
-    dones = state[5]
+    dones = state[6]
     for off, pair in enumerate(out):
         dones[p + off] = pair[1]
     l1 = core.l1
@@ -251,16 +251,16 @@ def _flush_core(state: list) -> None:
     kernel returns) sees exactly the state its own loop would have
     left.
     """
-    core = state[20]
+    core = state[23]
     (j, barrier, retire_max, last_done, tick1, hits1, misses1,
      prim1, sec1, stall1, p) = state[_MUT:]
     core._next = j
     core._issue_barrier = barrier
-    n_ops = state[14]
+    n_ops = state[16]
     core._retire_op = j if j < n_ops else n_ops - 1
     core._retire_max = retire_max
     if j:
-        done_max = max(state[5][:j])
+        done_max = max(state[6][:j])
         if done_max > last_done:
             last_done = done_max
     core._last_done = last_done
@@ -274,14 +274,14 @@ def _flush_core(state: list) -> None:
     mshr.stall_events = stall1
     out = core._outstanding
     out.clear()
-    out.extend(zip(state[2][p:j], state[5][p:j]))
+    out.extend(zip(state[3][p:j], state[6][p:j]))
 
 
 class _HierState:
     """Mirror of the hierarchy's scalar counters (kernel-local view).
 
     Containers (tag rows, MSHR dict+heap, DRAM bank lists, record
-    lists, the sharers directory) are aliased, never copied; only flat
+    buffers, the sharers directory) are aliased, never copied; only flat
     counters are mirrored, and :meth:`flush`/:meth:`reload` carry them
     across the fallback seam.  ``invalidations``/``upgrades`` are
     deliberately not mirrored — only scalar fallbacks touch them,
@@ -394,9 +394,9 @@ def run_epoch_kernel(cores: "list[CoreModel]",
     On return every core is drained (``core.done``) and every model
     object holds exactly the state the scalar loop would have left.
 
-    GC is paused for the drain: the kernel allocates only records and
-    heap tuples that stay reachable, so collector passes over the
-    per-op container churn are pure overhead.  The previous collector
+    GC is paused for the drain: the containers the kernel allocates
+    (MSHR heap pairs, directory sets, cache rows) stay reachable until
+    the run ends, so collector passes over them are pure overhead.  The previous collector
     state is restored even on error.
     """
     enabled = gc.isenabled()
@@ -483,9 +483,9 @@ def _run_epoch_kernel(cores: "list[CoreModel]",
             top_t, top_c = inf, -1
         epochs += 1
         S = states[cid]
-        (hot, cold, instr, base_issue, pmax, dones, bank_free, tags1,
-         lru1, dirty1, pending, pending_get, heap1, records, n_ops,
-         hit_lat, sets1, capacity1, lb1, l1_obj, core_obj,
+        (writes, lines, cold, instr, base_issue, pmax, dones, bank_free,
+         tags1, lru1, dirty1, pending, pending_get, heap1, starts, pens,
+         n_ops, hit_lat, sets1, banks1, capacity1, lb1, l1_obj, core_obj,
          j, barrier, retire_max, last_done, tick1, hits1, misses1,
          prim1, sec1, stall1, p) = S
         nf1 = heap1[0][0] if heap1 else inf
@@ -496,7 +496,11 @@ def _run_epoch_kernel(cores: "list[CoreModel]",
             # — so the ROB/barrier front-end (already folded into it by
             # the previous peek) is not re-derived.  Only the L1 bank
             # port can push the issue cycle later.
-            w, line, s1, tg, b1 = hot[j]
+            w = writes[j]
+            line = lines[j]
+            s1 = line % sets1
+            tg = line // sets1
+            b1 = line % banks1
             issue = t
             bfb = bank_free[b1]
             if bfb > issue:
@@ -521,8 +525,10 @@ def _run_epoch_kernel(cores: "list[CoreModel]",
                         dirty1[s1][row.index(tg)] = True
                 floor = issue + hit_lat
                 done = fill if fill >= floor else floor
+                starts[j] = issue
                 pen = done - floor
-                records[j] = (issue, hit_lat, pen if pen > 0 else 0)
+                if pen > 0:
+                    pens[j] = pen
             else:
                 fb = False
                 row = tags1[s1]
@@ -548,7 +554,8 @@ def _run_epoch_kernel(cores: "list[CoreModel]",
                                 # (hierarchy.upgrade, zero extra).
                                 sharers[ln2] = {cid}
                         done = issue + hit_lat
-                        records[j] = (issue, hit_lat, 0)
+                        # A hit's penalty is the column's zero.
+                        starts[j] = issue
                 else:
                     # ----- primary miss ------------------------------
                     (ln2, home, s2, tg2, b2, nout, nback, db,
@@ -695,8 +702,8 @@ def _run_epoch_kernel(cores: "list[CoreModel]",
                             # Secondary miss at L2: ride the fill.
                             done2 = fill2
                             pen2 = done2 - start - hl2
-                            l2rec_append(
-                                (start, hl2, pen2 if pen2 > 0 else 0))
+                            l2rec_append(start)
+                            l2rec_append(pen2 if pen2 > 0 else 0)
                         else:
                             t2 = tick2[home] + 1
                             tick2[home] = t2
@@ -706,7 +713,8 @@ def _run_epoch_kernel(cores: "list[CoreModel]",
                                 hits2[home] += 1
                                 l2h += 1
                                 done2 = start + hl2
-                                l2rec_append((start, hl2, 0))
+                                l2rec_append(start)
+                                l2rec_append(0)
                             else:
                                 misses2[home] += 1
                                 lr2 = lru2[home][s2]
@@ -787,8 +795,8 @@ def _run_epoch_kernel(cores: "list[CoreModel]",
                                 if df > dlast:
                                     dlast = df
                                 dram_done = int(df)
-                                dramrec_append(
-                                    (alloc2, dram_done - alloc2))
+                                dramrec_append(alloc2)
+                                dramrec_append(dram_done - alloc2)
                                 if m2h and m2h[0][0] <= alloc2:
                                     while m2h and m2h[0][0] <= alloc2:
                                         fill_t, ln = hpop(m2h)
@@ -798,8 +806,8 @@ def _run_epoch_kernel(cores: "list[CoreModel]",
                                 hpush(m2h, (dram_done, ln2))
                                 prim2[home] += 1
                                 done2 = dram_done
-                                l2rec_append(
-                                    (start, hl2, done2 - start - hl2))
+                                l2rec_append(start)
+                                l2rec_append(done2 - start - hl2)
                         trav += 1
                         done = done2 + nback
                         # ----- L1 MSHR allocate (retire, insert) -----
@@ -814,9 +822,10 @@ def _run_epoch_kernel(cores: "list[CoreModel]",
                         if done < nf1:
                             nf1 = done
                         prim1 += 1
+                        starts[j] = issue
                         pen = done - issue - hit_lat
-                        records[j] = (issue, hit_lat,
-                                      pen if pen > 0 else 0)
+                        if pen > 0:
+                            pens[j] = pen
                 if fb:
                     # ===== structural event: scalar fallback =========
                     # Nothing irreversible has happened for op ``j``
@@ -922,5 +931,5 @@ def _run_epoch_kernel(cores: "list[CoreModel]",
     hs.flush()
     stats.fallbacks = fallbacks
     stats.epochs = epochs
-    stats.ops = sum(S[14] for S in states) - fallbacks
+    stats.ops = sum(S[16] for S in states) - fallbacks
     return stats

@@ -19,6 +19,7 @@ Modeling choices:
 
 from __future__ import annotations
 
+from array import array
 from typing import Sequence
 
 import numpy as np
@@ -106,10 +107,17 @@ class SMTCoreModel:
 
     # ----- results ----------------------------------------------------------
     def result(self) -> CoreResult:
-        """Merged per-core result (records interleaved by start cycle)."""
+        """Merged per-core result (records interleaved by start cycle).
+
+        Thread columns are concatenated in thread order and merged by a
+        stable sort on start, so equal starts keep thread order.
+        """
         parts = [t.result() for t in self.threads]
-        records = sorted((r for p in parts for r in p.records),
-                         key=lambda r: r[0])
+        starts = np.concatenate(
+            [np.frombuffer(p.starts, dtype=np.int64) for p in parts])
+        penalties = np.concatenate(
+            [np.frombuffer(p.penalties, dtype=np.int64) for p in parts])
+        order = np.argsort(starts, kind="stable")
         return CoreResult(
             core_id=self.core_id,
             instructions=sum(p.instructions for p in parts),
@@ -117,7 +125,9 @@ class SMTCoreModel:
             finish_cycle=max(p.finish_cycle for p in parts),
             l1_hits=self.l1.hits,
             l1_misses=self.l1.misses,
-            records=tuple(records),
+            starts=array("q", starts[order].tobytes()),
+            penalties=array("q", penalties[order].tobytes()),
+            hit_latency=self.l1.config.hit_latency,
             prefetches_issued=sum(p.prefetches_issued for p in parts),
             prefetches_useful=sum(p.prefetches_useful for p in parts),
         )

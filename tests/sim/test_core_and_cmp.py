@@ -170,6 +170,25 @@ class TestMultiCore:
         assert res.total_instructions == sum(
             c.instructions for c in res.cores)
 
+    @pytest.mark.parametrize("use_kernel", [True, False])
+    def test_idle_cores_add_nothing_to_layer_apc(self, use_kernel):
+        # Six updates over eight cores leave the last two streams empty.
+        from dataclasses import replace
+
+        from repro.workloads.gups import GUPS
+
+        chip = replace(SimulatedChip(), n_cores=8)
+        streams = GUPS(updates=6).streams(8, np.random.default_rng(0))
+        assert [len(s[0]) for s in streams] == [1, 1, 1, 1, 1, 1, 0, 0]
+        res = CMPSimulator(chip, use_kernel=use_kernel).run(streams)
+        apc = res.layer_apc()
+        busy = [res.core_stats(i) for i in range(6)]
+        assert apc.l1.accesses == 6
+        assert apc.l1.active_cycles == sum(
+            s.memory_active_wall_cycles for s in busy)
+        with pytest.raises(SimulationError):
+            res.core_stats(7)
+
     def test_noc_distance_affects_remote_l2(self):
         # Larger mesh hop latency slows L2-bound runs.
         rng = np.random.default_rng(10)

@@ -2,16 +2,27 @@
 
 from __future__ import annotations
 
+import importlib.util
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim.cmp import CMPSimulator
 from repro.sim.config import SimulatedChip
 from repro.sim.core import CoreModel
 from repro.sim.hierarchy import MemoryHierarchy
+
+# The benchmark's centre chips are defined once, in the memory-profile
+# script, so the bounds below and the profile it prints use one geometry.
+_SPEC = importlib.util.spec_from_file_location(
+    "sim_memory_profile",
+    Path(__file__).resolve().parents[2] / "scripts" / "sim_memory_profile.py")
+sim_memory_profile = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(sim_memory_profile)
 
 
 @pytest.fixture
@@ -115,10 +126,8 @@ def test_aps_wide_centre_chip_builds_in_bounded_memory():
     rows on first touch and pair latencies on first read trace about
     1.4-1.7 MiB.
     """
-    base = SimulatedChip()
-    chip = replace(base, n_cores=256,
-                   l1=replace(base.l1, size_kib=24.5),
-                   l2_slice=replace(base.l2_slice, size_kib=22.0))
+    chip, _ = sim_memory_profile.centre_chip("aps-wide")
+    assert chip.n_cores == 256
     assert (chip.l1.num_sets, chip.l1.assoc) == (49, 8)
     assert (chip.l2_slice.num_sets, chip.l2_slice.assoc) == (22, 16)
     rng = np.random.default_rng(0)
@@ -134,3 +143,28 @@ def test_aps_wide_centre_chip_builds_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert traced < 2.5 * 2**20
+
+
+def test_aps_narrow_centre_run_peaks_in_bounded_memory():
+    """Per-access simulator state is unboxed.
+
+    The aps-narrow centre: 10 cores, 128 KiB L1s, 256 KiB L2 slices and
+    a canneal-like stream of 19,908 memory operations (stream seed 1).
+    With a boxed ``(start, hit, penalty)`` tuple per L1, L2 and DRAM
+    access and a boxed 5-int hot row per op, one run traced a 16.6 MiB
+    peak; with int64 record columns and flat line/write lists it
+    traces 11.2 MiB (deterministic across runs).
+    """
+    chip, workload = sim_memory_profile.centre_chip("aps-narrow")
+    assert (chip.n_cores, chip.l1.size_kib, chip.l2_slice.size_kib) == (
+        10, 128.0, 256.0)
+    streams = workload.streams(
+        chip.n_cores, np.random.default_rng(sim_memory_profile.SEED))
+    tracemalloc.start()
+    try:
+        result = CMPSimulator(chip).run(streams)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(core.mem_ops for core in result.cores) == 19908
+    assert peak < 13.5 * 2**20
