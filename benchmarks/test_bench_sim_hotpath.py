@@ -1,16 +1,17 @@
-"""Perf-smoke: the simulator fast path must beat the seed hot path ≥6×.
+"""Perf-smoke: the epoch kernel must beat the scalar event loop.
 
 The reference run — the paper's fluidanimate-like workload on a 4-core
 chip, followed by the full analysis pass (per-core C-AMAT statistics and
-Fig. 13 layer APC) — is executed twice on identical streams: once
-through the verbatim seed implementation preserved in
-``benchmarks/legacy_sim.py`` (NumPy tag-store scans, dict-scan MSHR
-retirement, deque rescans in ``peek_issue_time``, per-access-object
-traces, unmemoized double analysis) and once through the optimized
-path.  Both must agree *exactly* — execution cycles, every per-access
-record, layer APC and per-core statistics — and the optimized path must
-be at least 6× faster (the floor absorbs CI jitter; the batched epoch
-kernel of :mod:`repro.sim.kernel` carries most of the margin).
+Fig. 13 layer APC) — is executed on identical streams through both live
+simulator paths: the scalar event loop
+(``CMPSimulator(chip, use_kernel=False)``, one heap pop and one
+``CoreModel.advance`` call per memory operation) and the batched epoch
+kernel of :mod:`repro.sim.kernel`.  Both must agree *exactly* —
+execution cycles, every per-access record, L1 hits and misses, layer
+APC and per-core statistics — and the kernel must be at least
+``MIN_SPEEDUP`` times faster.  That ratio is what the kernel buys; the
+seed semantics both paths reproduce are pinned by the golden corpus
+(``tests/sim/test_differential_golden.py``), which includes this run.
 
 A second phase re-runs a small design sweep against a warm persistent
 :class:`repro.sim.cache_store.SimCacheStore` and asserts it is
@@ -28,7 +29,6 @@ from dataclasses import replace
 
 import numpy as np
 from conftest import run_once, update_bench_record
-from legacy_sim import legacy_analysis, legacy_simulate
 
 from repro.dse.evaluate import SimulatorEvaluator
 from repro.obs import get_registry
@@ -37,24 +37,28 @@ from repro.sim.cmp import CMPSimulator
 from repro.sim.config import SimulatedChip
 from repro.workloads.parsec import parsec_like
 
-MIN_SPEEDUP = 6.0
+# 85% of the lowest of 12 independent single-round ratios (1.84-2.49x,
+# median 2.15x, on a 2-vCPU Xeon VM), rounded down to 0.05: the margin
+# absorbs CI jitter, and a kernel that falls about 28% below its median
+# ratio fails.
+MIN_SPEEDUP = 1.55
 SEED = 1234
-# Long enough that the optimized timing window (~250ms) averages over
-# scheduler-noise bursts the way the legacy window (~2s) does; at
-# 20k ops the optimized window was short enough that the measured
-# ratio swung ±10% run to run.
+# Long enough that the kernel's timing window (~0.2 s here) averages
+# over scheduler-noise bursts the way the scalar window (~0.4 s) does;
+# at 20k ops the short window let the measured ratio swing ±10% run to
+# run.
 N_OPS = 60_000
 
 
 def _streams(chip):
-    """Identical streams for both implementations (regenerated per run)."""
+    """Identical streams for both paths (regenerated per run)."""
     workload = parsec_like("fluidanimate", n_ops=N_OPS)
     return workload.streams(chip.n_cores, np.random.default_rng(SEED))
 
 
-def _optimized_reference(chip, streams):
-    """The optimized hot path: simulate, then the full analysis pass."""
-    result = CMPSimulator(chip).run(streams)
+def _optimized_reference(chip, streams, use_kernel=True):
+    """One path's hot path: simulate, then the full analysis pass."""
+    result = CMPSimulator(chip, use_kernel=use_kernel).run(streams)
     apc = result.layer_apc()
     stats = [result.core_stats(i) for i in range(chip.n_cores)]
     return result, apc, stats
@@ -83,33 +87,30 @@ def _warm_cache_sweep(tmp_path):
     return cold_costs, cold_runs, warm_costs, warm_runs, warm_hits
 
 
-def _measure_round(chip, legacy_s, optimized_s):
+def _measure_round(chip, scalar_s, kernel_s):
     """One measurement round; folds into the running per-path minima.
 
     Best-of-N on both sides: single-shot wall times swing under CI
-    scheduler noise, the per-path minimum much less so.  The optimized
-    window is ~7× shorter than the legacy one, so it samples calm
-    scheduler epochs more coarsely — it gets two timed runs per
-    iteration (interleaved with the legacy runs, so both paths sweep
-    the same load epochs) to even the odds of each minimum landing in
-    a quiet moment.  Stream generation is identical shared setup —
-    excluded from both timing windows so the comparison is
-    simulate+analyze only.
+    scheduler noise, the per-path minimum much less so.  The two
+    windows are within about 2x of each other, so each path gets the
+    same number of timed runs, strictly alternated, and the order flips
+    every pair so neither path always runs first in a load epoch.
+    Stream generation is identical shared setup — excluded from both
+    timing windows so the comparison is simulate+analyze only.
     """
-    for _ in range(4):
-        streams = _streams(chip)
-        t0 = time.perf_counter()
-        legacy_bundle = legacy_simulate(chip, streams)
-        legacy_out = legacy_analysis(legacy_bundle)
-        legacy_s = min(legacy_s, time.perf_counter() - t0)
-
-        for _ in range(2):
+    outputs = {}
+    for i in range(6):
+        for use_kernel in ((False, True) if i % 2 == 0 else (True, False)):
             streams = _streams(chip)
             t0 = time.perf_counter()
-            result, apc, stats = _optimized_reference(chip, streams)
-            optimized_s = min(optimized_s, time.perf_counter() - t0)
-    return (legacy_s, optimized_s,
-            legacy_bundle, legacy_out, result, apc, stats)
+            outputs[use_kernel] = _optimized_reference(chip, streams,
+                                                       use_kernel)
+            elapsed = time.perf_counter() - t0
+            if use_kernel:
+                kernel_s = min(kernel_s, elapsed)
+            else:
+                scalar_s = min(scalar_s, elapsed)
+    return scalar_s, kernel_s, outputs[False], outputs[True]
 
 
 def test_sim_hotpath_speedup(benchmark, results_dir, tmp_path):
@@ -122,28 +123,31 @@ def test_sim_hotpath_speedup(benchmark, results_dir, tmp_path):
     # gets up to two re-measurement rounds before it counts as real
     # (the standard guard against a load burst landing on the short
     # windows).
-    legacy_s = optimized_s = float("inf")
+    scalar_s = kernel_s = float("inf")
     rounds = 0
     for _ in range(3):
-        (legacy_s, optimized_s, legacy_bundle, legacy_out,
-         result, apc, stats) = _measure_round(chip, legacy_s, optimized_s)
+        scalar_s, kernel_s, scalar_out, kernel_out = _measure_round(
+            chip, scalar_s, kernel_s)
         rounds += 1
-        if legacy_s / optimized_s >= MIN_SPEEDUP:
+        if scalar_s / kernel_s >= MIN_SPEEDUP:
             break
 
     # One more pass under the harness for the standard metrics record
     # (results/BENCH_test_sim_hotpath_speedup.json).
     run_once(benchmark, _optimized_reference, chip, _streams(chip))
 
-    # Same physics, different constants: every observable must match the
-    # seed implementation exactly (cycles, records, APC, statistics).
-    assert result.exec_cycles == legacy_bundle["exec_cycles"]
-    for core_result, legacy_core in zip(result.cores, legacy_bundle["cores"]):
-        assert core_result.records == tuple(legacy_core._records)
-        assert core_result.l1_hits == legacy_core.l1.hits
-        assert core_result.l1_misses == legacy_core.l1.misses
-    assert apc == legacy_out["layer_apc"]
-    assert stats == legacy_out["core_stats"]
+    # Two paths, one semantics: every observable must match exactly
+    # (cycles, records, L1 hits and misses, APC, statistics).
+    result, apc, stats = kernel_out
+    scalar, scalar_apc, scalar_stats = scalar_out
+    assert result.exec_cycles == scalar.exec_cycles
+    for core_result, scalar_core in zip(result.cores, scalar.cores,
+                                        strict=True):
+        assert core_result.records == scalar_core.records
+        assert core_result.l1_hits == scalar_core.l1_hits
+        assert core_result.l1_misses == scalar_core.l1_misses
+    assert apc == scalar_apc
+    assert stats == scalar_stats
 
     # Warm-cache phase: second sweep over the same store is free.
     (cold_costs, cold_runs, warm_costs,
@@ -153,13 +157,13 @@ def test_sim_hotpath_speedup(benchmark, results_dir, tmp_path):
     assert warm_runs == 0                    # not one fresh simulation
     assert warm_hits == len(warm_costs)
 
-    speedup = legacy_s / optimized_s
+    speedup = scalar_s / kernel_s
     path = update_bench_record(
         benchmark.name,
         n_cores=chip.n_cores,
-        n_ops_per_core=N_OPS,
-        legacy_s=legacy_s,
-        optimized_s=optimized_s,
+        n_ops=N_OPS,
+        scalar_s=scalar_s,
+        kernel_s=kernel_s,
         speedup=speedup,
         min_speedup=MIN_SPEEDUP,
         measure_rounds=rounds,
@@ -170,9 +174,9 @@ def test_sim_hotpath_speedup(benchmark, results_dir, tmp_path):
             "warm_cache_hits": warm_hits,
         },
     )
-    print(f"\nlegacy {legacy_s:.3f}s  optimized {optimized_s:.3f}s  "
-          f"speedup {speedup:.1f}x  warm-cache runs {warm_runs}  -> {path}")
+    print(f"\nscalar {scalar_s:.3f}s  kernel {kernel_s:.3f}s  "
+          f"speedup {speedup:.2f}x  warm-cache runs {warm_runs}  -> {path}")
 
     assert speedup >= MIN_SPEEDUP, (
-        f"fast path only {speedup:.1f}x faster than the seed hot path "
+        f"epoch kernel only {speedup:.2f}x faster than the scalar loop "
         f"(floor {MIN_SPEEDUP}x); see {path}")

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import gc
 import heapq
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,15 +62,18 @@ class SimulationResult:
         Per-core results (length ``n_cores``).
     exec_cycles:
         Chip-level execution time: the slowest core's finish cycle.
-    l2_trace, dram_trace:
-        Cycle-level traces of the shared layers (``None`` if unused).
+    l2_records, dram_records:
+        The shared layers' access records as flat int64 pairs:
+        ``(start, miss_penalty)`` per L2 access, ``(start, latency)``
+        per DRAM demand access.  :attr:`l2_trace` and
+        :attr:`dram_trace` are built from them on first read.
     """
 
     chip: SimulatedChip
     cores: tuple[CoreResult, ...]
     exec_cycles: int
-    l2_trace: "AccessTrace | None"
-    dram_trace: "AccessTrace | None"
+    l2_records: "array[int]"
+    dram_records: "array[int]"
     l1_writebacks: int = 0
     invalidations: int = 0
     upgrades: int = 0
@@ -85,6 +90,35 @@ class SimulationResult:
         if self.exec_cycles == 0:
             return 0.0
         return self.total_instructions / self.exec_cycles
+
+    @cached_property
+    def l2_trace(self) -> "AccessTrace | None":
+        """Cycle-level trace of all L2 accesses (None if there were none).
+
+        Built on first read, like :meth:`CoreResult.trace`, so a
+        cost-only run never builds it.  Every access's hit cycles are
+        the slice hit latency.
+        """
+        if not self.l2_records:
+            return None
+        starts, penalties = _pair_columns(self.l2_records)
+        return AccessTrace.from_arrays(
+            starts, np.full(starts.size, self.chip.l2_slice.hit_latency,
+                            dtype=np.int64),
+            penalties)
+
+    @cached_property
+    def dram_trace(self) -> "AccessTrace | None":
+        """Cycle-level trace of all DRAM accesses (None if there were none).
+
+        Built on first read like :attr:`l2_trace`; each access is one
+        hit window of its latency (at least one cycle).
+        """
+        if not self.dram_records:
+            return None
+        starts, latencies = _pair_columns(self.dram_records)
+        return AccessTrace.from_arrays(starts, np.maximum(latencies, 1),
+                                       np.zeros(starts.size, dtype=np.int64))
 
     def core_trace(self, core_id: int) -> AccessTrace:
         """L1-level access trace of one core."""
@@ -170,6 +204,12 @@ class SimulationResult:
                 gc.enable()
         object.__setattr__(self, "_layer_apc_cache", result)
         return result
+
+
+def _pair_columns(pairs: "array[int]") -> "tuple[np.ndarray, np.ndarray]":
+    """The two columns of a finished flat pair buffer, as int64 views."""
+    columns = np.frombuffer(pairs, dtype=np.int64).reshape(-1, 2)
+    return columns[:, 0], columns[:, 1]
 
 
 class CMPSimulator:
@@ -274,8 +314,8 @@ class CMPSimulator:
             chip=self.chip,
             cores=results,
             exec_cycles=exec_cycles,
-            l2_trace=hierarchy.l2_trace(),
-            dram_trace=hierarchy.dram_trace(),
+            l2_records=hierarchy._l2_records,
+            dram_records=hierarchy._dram_records,
             l1_writebacks=sum(core.l1.writebacks for core in cores),
             invalidations=hierarchy.invalidations,
             upgrades=hierarchy.upgrades,

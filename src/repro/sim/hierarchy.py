@@ -8,16 +8,15 @@ store, banks and MSHRs; misses go to the shared banked DRAM.
 The hierarchy also records per-layer access intervals so that APC
 (Fig. 13) and per-layer C-AMAT can be measured after the run via the
 standard :class:`repro.camat.TraceAnalyzer`.  The records are flat
-``array('q')`` buffers of int pairs, not per-access objects.
+``array('q')`` buffers of int pairs, not per-access objects; the
+finished buffers go to :class:`repro.sim.cmp.SimulationResult`, which
+builds the layer traces from them when they are read.
 """
 
 from __future__ import annotations
 
 from array import array
 
-import numpy as np
-
-from repro.camat.trace import AccessTrace
 from repro.errors import SimulationError
 from repro.sim.cache import SetAssociativeCache
 from repro.sim.config import SimulatedChip
@@ -58,8 +57,6 @@ class MemoryHierarchy:
         # latency)`` per DRAM demand access.
         self._l2_records = array("q")
         self._dram_records = array("q")
-        self._l2_trace_cache: "AccessTrace | None" = None
-        self._dram_trace_cache: "AccessTrace | None" = None
         # MSI-lite directory: L1 line number -> set of sharer core ids.
         # Active only when the per-core L1s register themselves (the CMP
         # simulator wires this up); a None registry means non-coherent
@@ -198,42 +195,6 @@ class MemoryHierarchy:
         noc.traversals += 1
         return done + self._noc_lat[home * self._n_cores + core_id]
 
-    # ----- per-layer traces (for APC / C-AMAT measurement) -----------------
-    def l2_trace(self) -> "AccessTrace | None":
-        """Cycle-level trace of all L2 accesses (None if there were none).
-
-        Built columnar from the flat record buffer and memoized until
-        more records arrive.  The columns are copied out, so the trace
-        holds no view of the buffer and the buffer can keep growing.
-        """
-        count = len(self._l2_records) // 2
-        if not count:
-            return None
-        if (self._l2_trace_cache is None
-                or len(self._l2_trace_cache) != count):
-            starts, penalties = _columns(self._l2_records)
-            self._l2_trace_cache = AccessTrace.from_arrays(
-                starts,
-                np.full(count, self._l2_hit_latency, dtype=np.int64),
-                penalties)
-        return self._l2_trace_cache
-
-    def dram_trace(self) -> "AccessTrace | None":
-        """Cycle-level trace of all DRAM accesses (None if there were none).
-
-        Built columnar and memoized like :meth:`l2_trace`.
-        """
-        count = len(self._dram_records) // 2
-        if not count:
-            return None
-        if (self._dram_trace_cache is None
-                or len(self._dram_trace_cache) != count):
-            starts, latencies = _columns(self._dram_records)
-            self._dram_trace_cache = AccessTrace.from_arrays(
-                starts, np.maximum(latencies, 1),
-                np.zeros(count, dtype=np.int64))
-        return self._dram_trace_cache
-
     @property
     def l2_miss_rate(self) -> float:
         """Observed shared-L2 miss rate."""
@@ -262,12 +223,6 @@ class MemoryHierarchy:
         for name, value in self.dram.stats().items():
             out[f"dram.{name}"] = value
         return out
-
-
-def _columns(pairs: array) -> np.ndarray:
-    """The two columns of a flat pair buffer, copied into one
-    ``(2, n)`` int64 block (rows are contiguous)."""
-    return np.frombuffer(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
 
 
 def _sum_stats(dicts) -> "list[tuple[str, float]]":

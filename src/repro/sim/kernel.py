@@ -4,9 +4,10 @@ The scalar event loop (:meth:`repro.sim.cmp.CMPSimulator.run` driving
 :meth:`repro.sim.core.CoreModel.advance`) pays Python dispatch per
 memory operation: a heap pop, a bound method call, a dozen attribute
 loads, and per-access address arithmetic.  This kernel removes all of
-it while reproducing the scalar semantics *bit for bit* (pinned by
-``tests/sim/test_differential_golden.py`` and the hypothesis
-differential suite ``tests/sim/test_kernel_differential.py``):
+it while reproducing the scalar semantics *bit for bit* (held to the
+scalar loop by the Hypothesis suite
+``tests/sim/test_kernel_differential.py``, and with it to the golden
+digests and seeded corpus of ``tests/sim/test_differential_golden.py``):
 
 - **Structure-of-arrays epoch prep** — the address decompositions the
   event loop would compute one op at a time are lifted into NumPy int64
@@ -76,13 +77,13 @@ epochs as ``sim.kernel.ops`` / ``sim.kernel.epochs``.
 Reference
 ---------
 Every eligible run takes the kernel.  ``CMPSimulator(chip,
-use_kernel=False)`` runs the scalar loop instead; it is the reference
-the differential tests hold the kernel to, bit for bit.
+use_kernel=False)`` runs the scalar loop instead; it is the only
+reference the kernel is held to, bit for bit, and the golden corpus
+pins what both must compute.
 """
 
 from __future__ import annotations
 
-import gc
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
@@ -393,24 +394,9 @@ def run_epoch_kernel(cores: "list[CoreModel]",
 
     On return every core is drained (``core.done``) and every model
     object holds exactly the state the scalar loop would have left.
-
-    GC is paused for the drain: the containers the kernel allocates
-    (MSHR heap pairs, directory sets, cache rows) stay reachable until
-    the run ends, so collector passes over them are pure overhead.  The previous collector
-    state is restored even on error.
+    The caller, :meth:`repro.sim.cmp.CMPSimulator.run`, pauses the
+    collector for the whole run, this drain included.
     """
-    enabled = gc.isenabled()
-    if enabled:
-        gc.disable()
-    try:
-        return _run_epoch_kernel(cores, hierarchy)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _run_epoch_kernel(cores: "list[CoreModel]",
-                      hierarchy: "MemoryHierarchy") -> KernelStats:
     stats = KernelStats()
     hpush = heappush
     hpop = heappop

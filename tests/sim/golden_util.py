@@ -1,18 +1,29 @@
-"""Golden-digest helper for the simulator differential tests.
+"""Golden digests and the seeded corpus that pin the simulator's semantics.
 
-The fast-path optimizations (columnar traces, MSHR heap, watermark
-issue tracking, list-backed tag stores) and the batched epoch kernel
-(:mod:`repro.sim.kernel`) must not change simulator *behavior* at all:
-:mod:`tests.sim.test_differential_golden` compares a digest of every
-observable output — per-core records, exec cycles, counters, per-layer
-traces, per-layer statistics, layer APC and C-AMAT statistics — against
-``tests/data/sim_golden.json``, which pins the seed scalar-path
-semantics.  The golden file records the
+The simulator has two live paths: the batched epoch kernel
+(:mod:`repro.sim.kernel`) and the scalar event loop
+(``CMPSimulator(chip, use_kernel=False)``), the reference the kernel is
+held to.  ``tests/data/sim_golden.json`` pins what both must produce,
+so neither can drift with the other:
+
+- ``cases`` — nine hand-picked configurations (:func:`golden_cases`),
+  each a readable digest of every observable output: per-core records,
+  exec cycles, counters, per-layer traces, per-layer statistics, layer
+  APC and C-AMAT statistics;
+- ``corpus`` — one hash of that same digest for each of a few hundred
+  seeded fuzz-style cases over the chip menu :data:`CHIPS` plus the
+  prefetching chips (:func:`corpus_cases`), and the hot-path bench's
+  reference run.  The corpus was checked case by case against the
+  frozen seed simulator before that copy was retired, so it records the
+  seed semantics as data.
+
+:mod:`tests.sim.test_differential_golden` runs every entry on both
+paths.  The file records the
 :data:`repro.sim.cache_store.SIM_MODEL_VERSION` it was generated under;
-:func:`main` refuses to regenerate when any existing digest changes
-without a version bump, so the pin cannot be silently rewritten.
-Regenerate (only after an intentional semantic change, alongside a bump
-of ``SIM_MODEL_VERSION``) with::
+:func:`main` refuses to regenerate when any existing digest or corpus
+hash changes without a version bump, so the pin cannot be silently
+rewritten.  Regenerate (only after an intentional semantic change,
+alongside a bump of ``SIM_MODEL_VERSION``) with::
 
     PYTHONPATH=src:tests python tests/sim/golden_util.py
 
@@ -33,9 +44,116 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.sim.cache_store import SIM_MODEL_VERSION
+from repro.sim.cmp import CMPSimulator, simulate_chip_cost
+from repro.sim.config import (CacheConfig, CoreMicroConfig, NoCConfig,
+                              SimulatedChip)
+from repro.workloads.gups import GUPS
+from repro.workloads.matmul import TiledMatMul
+from repro.workloads.parsec import parsec_like
+
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "data" / "sim_golden.json"
 
-GOLDEN_SCHEMA = "c2bound.sim-golden/2"
+GOLDEN_SCHEMA = "c2bound.sim-golden/3"
+
+_BASE = SimulatedChip()
+
+# A menu of valid geometries instead of free draws: every entry is a
+# legal config, and together they cover the structural extremes — one
+# MSHR (inline stall path), one-set caches (constant eviction), a free
+# NoC (zero-latency ties), the default geometry — and partial meshes
+# wider than 2x2 (10 tiles on 4x4, 17 on 5x5, with a few ops per core),
+# where a wrong tile-to-coordinate mapping changes NoC latencies.
+CHIPS = [
+    replace(_BASE, n_cores=2),
+    replace(_BASE, n_cores=1),
+    replace(_BASE, n_cores=2,
+            l1=replace(_BASE.l1, size_kib=4.0, mshr_entries=1, banks=1),
+            l2_slice=replace(_BASE.l2_slice, size_kib=32.0,
+                             mshr_entries=1)),
+    replace(_BASE, n_cores=2,
+            l1=CacheConfig(size_kib=0.5, assoc=8, banks=1),
+            l2_slice=replace(_BASE.l2_slice, size_kib=1.0, assoc=16)),
+    replace(_BASE, n_cores=2,
+            noc=NoCConfig(hop_latency=0, router_latency=0)),
+    replace(_BASE, n_cores=10),
+    replace(_BASE, n_cores=17, noc=NoCConfig(hop_latency=3,
+                                             router_latency=2)),
+]
+
+# Prefetching chips bypass the epoch kernel wholesale (see
+# ``kernel_eligible``), so a kernel-vs-scalar fuzz draw on them compares
+# the scalar loop with itself; only the corpus pins what they compute.
+PREFETCH_CHIPS = [
+    replace(_BASE, n_cores=2,
+            l1=replace(_BASE.l1, prefetch="stride", prefetch_degree=2)),
+    replace(_BASE, n_cores=2, l1=replace(_BASE.l1, prefetch="nextline")),
+]
+
+# 48 distinct lines within a few L1 sets: small enough that streams
+# collide across cores (coherence traffic) and within a core (capacity
+# evictions) even at a few dozen ops.  Each access also draws one of
+# two pages, one DRAM row apart in the same bank: the pool itself fits
+# in one row, so without the second page DRAM would never see a row
+# conflict.
+LINE_POOL = 48
+
+CORPUS_SEED = 2026
+CORPUS_FUZZ_CASES = 300
+
+
+def fuzz_streams(chip, draw_ints) -> "list[tuple]":
+    """Per-core ``(addresses, gaps, writes)`` streams over a small line pool.
+
+    ``draw_ints(lo, hi, size)`` returns ``size`` ints in ``[lo, hi]``:
+    Hypothesis strategies draw them in the fuzz suite, a seeded NumPy
+    generator in the corpus.  Wide chips get a few ops per core, so a
+    case stays small whatever the core count.
+    """
+    line_bytes = chip.l1.line_bytes
+    page_bytes = chip.dram.row_bytes * chip.dram.banks
+    max_ops = 48 if chip.n_cores <= 4 else 8
+    streams = []
+    for _ in range(chip.n_cores):
+        (n,) = draw_ints(1, max_ops, 1)
+        lines = draw_ints(0, LINE_POOL - 1, n)
+        offsets = draw_ints(0, line_bytes - 1, n)
+        pages = draw_ints(0, 1, n)
+        gaps = draw_ints(0, 5, n)
+        writes = draw_ints(0, 1, n)
+        addresses = (np.asarray(pages, dtype=np.int64) * page_bytes
+                     + np.asarray(lines, dtype=np.int64) * line_bytes
+                     + np.asarray(offsets, dtype=np.int64))
+        streams.append((addresses,
+                        np.asarray(gaps, dtype=np.int64),
+                        np.asarray(writes, dtype=bool)))
+    return streams
+
+
+def corpus_cases() -> "list[tuple[str, object, list]]":
+    """The seeded (name, chip, streams) corpus.
+
+    Case ``i`` takes chip ``i`` of the menu (round robin over
+    :data:`CHIPS` and :data:`PREFETCH_CHIPS`) and draws its streams from
+    its own generator, ``default_rng([CORPUS_SEED, i])``, so a case
+    never depends on the cases drawn before it.  The last case is the
+    hot-path bench's reference run: 4-core fluidanimate, 60k memory
+    operations over the four cores, seed 1234.
+    """
+    menu = CHIPS + PREFETCH_CHIPS
+    cases = []
+    for i in range(CORPUS_FUZZ_CASES):
+        rng = np.random.default_rng([CORPUS_SEED, i])
+        chip = menu[i % len(menu)]
+        streams = fuzz_streams(
+            chip, lambda lo, hi, size: rng.integers(
+                lo, hi + 1, size=size).tolist())
+        cases.append((f"fuzz_{i:03d}", chip, streams))
+    chip = replace(_BASE, n_cores=4)
+    cases.append(("hotpath_fluidanimate_60k", chip,
+                  parsec_like("fluidanimate", n_ops=60_000).streams(
+                      chip.n_cores, np.random.default_rng(1234))))
+    return cases
 
 
 def golden_cases() -> "list[tuple[str, object, object, int]]":
@@ -47,13 +165,7 @@ def golden_cases() -> "list[tuple[str, object, object, int]]":
     geometries (single core, one MSHR, one-set caches, a free NoC)
     where off-by-one bugs in a rewritten inner loop would hide.
     """
-    from repro.sim.config import (CacheConfig, CoreMicroConfig, NoCConfig,
-                                  SimulatedChip)
-    from repro.workloads.gups import GUPS
-    from repro.workloads.matmul import TiledMatMul
-    from repro.workloads.parsec import parsec_like
-
-    base = SimulatedChip()
+    base = _BASE
     return [
         ("default_fluidanimate",
          replace(base, n_cores=4),
@@ -169,10 +281,16 @@ def result_digest(result, cost: float, hierarchy_stats: dict) -> dict:
     }
 
 
+def _cost(result) -> float:
+    """Cycles per instruction, as ``simulate_chip_cost`` computes it."""
+    instructions = result.total_instructions
+    if instructions == 0:
+        return float("inf")
+    return result.exec_cycles / instructions
+
+
 def run_case(chip, workload, seed: int, *, use_kernel: bool = True) -> dict:
     """Simulate one golden case and digest it."""
-    from repro.sim.cmp import CMPSimulator, simulate_chip_cost
-
     rng = np.random.default_rng(seed)
     smt = chip.core.smt_threads
     simulator = CMPSimulator(chip, use_kernel=use_kernel)
@@ -184,14 +302,26 @@ def run_case(chip, workload, seed: int, *, use_kernel: bool = True) -> dict:
     elif use_kernel:
         cost = simulate_chip_cost(chip, workload, seed)
     else:
-        instructions = result.total_instructions
-        cost = (float("inf") if instructions == 0
-                else result.exec_cycles / instructions)
+        cost = _cost(result)
     return result_digest(result, cost, simulator.last_layer_stats)
 
 
+def run_streams(chip, streams, *, use_kernel: bool = True):
+    """Simulate fresh copies of ``streams``; the simulator and result."""
+    simulator = CMPSimulator(chip, use_kernel=use_kernel)
+    result = simulator.run([(a.copy(), g.copy(), w.copy())
+                            for a, g, w in streams])
+    return simulator, result
+
+
+def corpus_hash(simulator, result) -> str:
+    """One corpus case's pin: the hash of its full :func:`result_digest`."""
+    return _sha(result_digest(result, _cost(result),
+                              simulator.last_layer_stats))
+
+
 def load_golden() -> dict:
-    """Parse the golden file (schema v2: versioned, cases nested)."""
+    """Parse the golden file (schema v3: versioned cases and corpus)."""
     with open(GOLDEN_PATH) as handle:
         data = json.load(handle)
     if "cases" not in data:
@@ -200,36 +330,41 @@ def load_golden() -> dict:
 
 
 def generate() -> dict:
-    """Digest every golden case under the current implementation."""
-    from repro.sim.cache_store import SIM_MODEL_VERSION
-
+    """Digest every golden case and hash every corpus case."""
     cases = {name: run_case(chip, workload, seed)
              for name, chip, workload, seed in golden_cases()}
+    corpus = {name: corpus_hash(*run_streams(chip, streams))
+              for name, chip, streams in corpus_cases()}
     return {"schema": GOLDEN_SCHEMA,
             "sim_model_version": SIM_MODEL_VERSION,
-            "cases": cases}
+            "cases": cases,
+            "corpus": corpus}
 
 
 def regeneration_error(old: dict, new: dict) -> "str | None":
     """Why regenerating ``old`` -> ``new`` must be refused (None if OK).
 
-    Changed digests are only acceptable together with a
-    ``SIM_MODEL_VERSION`` bump: the version is folded into every
+    Changed digests or corpus hashes are only acceptable together with
+    a ``SIM_MODEL_VERSION`` bump: the version is folded into every
     persistent sim-cache key, so silently regenerating the pin would
-    let stale cached costs coexist with new semantics.  New cases and
-    new digest fields may be added freely.
+    let stale cached costs coexist with new semantics.  New cases, new
+    corpus entries and new digest fields may be added freely.
     """
-    if old.get("sim_model_version") == new["sim_model_version"]:
-        for name, digest in old.get("cases", {}).items():
-            reference = new["cases"].get(name)
-            if reference is None:
-                continue
-            for key, value in digest.items():
-                if key in reference and reference[key] != value:
-                    return (f"case {name!r} field {key!r} changed but "
-                            "SIM_MODEL_VERSION did not: bump "
-                            "repro.sim.cache_store.SIM_MODEL_VERSION "
-                            "before regenerating the golden pin")
+    if old.get("sim_model_version") != new["sim_model_version"]:
+        return None
+    bump = ("but SIM_MODEL_VERSION did not: bump "
+            "repro.sim.cache_store.SIM_MODEL_VERSION "
+            "before regenerating the golden pin")
+    for name, digest in old.get("cases", {}).items():
+        reference = new["cases"].get(name)
+        if reference is None:
+            continue
+        for key, value in digest.items():
+            if key in reference and reference[key] != value:
+                return f"case {name!r} field {key!r} changed {bump}"
+    for name, value in old.get("corpus", {}).items():
+        if new.get("corpus", {}).get(name, value) != value:
+            return f"corpus case {name!r} changed {bump}"
     return None
 
 
@@ -249,6 +384,7 @@ def main(argv: "list[str] | None" = None) -> int:
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH} ({len(new['cases'])} cases, "
+          f"{len(new['corpus'])} corpus cases, "
           f"model {new['sim_model_version']})")
     return 0
 

@@ -10,9 +10,9 @@ failing test.  This module pins both properties of
   into a digest (layer-stat dicts are built by unordered accumulation,
   so insertion-order hashing would be nondeterministic across
   refactors);
-- ``regeneration_error`` refuses to rewrite any existing digest unless
-  ``SIM_MODEL_VERSION`` is bumped, while allowing purely additive
-  changes (new cases, new fields).
+- ``regeneration_error`` refuses to rewrite any existing digest or
+  corpus hash unless ``SIM_MODEL_VERSION`` is bumped, while allowing
+  purely additive changes (new cases, new corpus entries, new fields).
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ def test_sha_distinguishes_values_and_types():
 
 
 # ----- regeneration refusal ---------------------------------------------
-def _pin(version="v1", **cases):
+def _pin(version="v1", corpus=None, **cases):
     return {"schema": GOLDEN_SCHEMA, "sim_model_version": version,
-            "cases": cases}
+            "cases": cases, "corpus": corpus or {}}
 
 
 def test_regeneration_refused_when_digest_changes_without_bump():
@@ -68,6 +68,22 @@ def test_regeneration_allows_additive_changes():
     old = _pin(default={"exec_cycles": 100})
     new = _pin(default={"exec_cycles": 100, "ipc": "0.5"},
                extra_case={"exec_cycles": 7})
+    assert regeneration_error(old, new) is None
+
+
+def test_regeneration_refused_when_corpus_hash_changes_without_bump():
+    old = _pin(corpus={"fuzz_000": "a" * 64, "fuzz_001": "b" * 64})
+    new = _pin(corpus={"fuzz_000": "a" * 64, "fuzz_001": "c" * 64})
+    error = regeneration_error(old, new)
+    assert error is not None
+    assert "fuzz_001" in error and "SIM_MODEL_VERSION" in error
+    assert regeneration_error(
+        old, dict(new, sim_model_version="v2")) is None
+
+
+def test_regeneration_allows_new_corpus_entries():
+    old = _pin(corpus={"fuzz_000": "a" * 64})
+    new = _pin(corpus={"fuzz_000": "a" * 64, "fuzz_001": "b" * 64})
     assert regeneration_error(old, new) is None
 
 
@@ -93,3 +109,6 @@ def test_golden_file_digests_have_expected_shape():
         for core in digest["cores"]:
             assert len(core["records_sha"]) == 64, name
         assert set(digest["layer_apc"]) == {"l1", "llc", "dram"}, name
+    assert golden["corpus"]
+    for name, value in golden["corpus"].items():
+        assert len(value) == 64 and int(value, 16) >= 0, name

@@ -3,10 +3,10 @@
 Each core writes start and miss penalty into two ``array('q')``
 columns; the shared L2 and DRAM layers append ``(start, value)`` pairs
 to flat ``array('q')`` buffers.  These tests pin how the columns are
-read back: the per-core trace views them without a copy and is built
-only on demand, a layer trace taken mid-run neither pins the growing
-buffer nor goes stale, and the SMT merge keeps the order of a stable
-sort by start.
+read back: the per-core trace views them without a copy, every trace —
+per core and per shared layer — is built only on demand, so a
+cost-only run builds none, and the SMT merge keeps the order of a
+stable sort by start.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ from itertools import chain
 
 import numpy as np
 
+from repro.camat.trace import AccessTrace
 from repro.sim import CMPSimulator, SimulatedChip
+from repro.sim.cmp import simulate_chip_cost
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.smt import SMTCoreModel
 from repro.workloads.parsec import parsec_like
@@ -55,35 +57,33 @@ def test_cost_only_run_builds_no_core_trace():
     assert result.cores[0].trace() is first
 
 
-def _distinct_miss_addresses(chip, count):
-    # One address per L2 line, far apart: every request misses L2 and
-    # goes to DRAM.
-    return [(k + 1) * chip.l2_slice.line_bytes * 4099 for k in range(count)]
+def test_cost_only_run_builds_no_trace(monkeypatch):
+    built = []
+    from_arrays = AccessTrace.from_arrays.__func__
 
+    def counting(cls, *args, **kwargs):
+        built.append(len(args[0]))
+        return from_arrays(cls, *args, **kwargs)
 
-def test_layer_traces_taken_mid_run_refresh_without_pinning_buffers():
+    monkeypatch.setattr(AccessTrace, "from_arrays", classmethod(counting))
     chip = replace(SimulatedChip(), n_cores=2)
-    hierarchy = MemoryHierarchy(chip)
-    addresses = _distinct_miss_addresses(chip, 4)
-    assert hierarchy.l2_trace() is None and hierarchy.dram_trace() is None
-    hierarchy.service_miss(0, addresses[0], 10)
-    # A one-record trace is the case where a column view of the buffer
-    # would count as contiguous and be kept instead of copied.
-    l2_first, dram_first = hierarchy.l2_trace(), hierarchy.dram_trace()
-    assert len(l2_first) == 1 and len(dram_first) == 1
-    for k, address in enumerate(addresses[1:], start=1):
-        # Appending to a buffer some trace still viewed would raise
-        # BufferError here.
-        hierarchy.service_miss(k % 2, address, 10 + 7 * k)
-    l2_trace, dram_trace = hierarchy.l2_trace(), hierarchy.dram_trace()
-    assert l2_trace is not l2_first and dram_trace is not dram_first
+    cost = simulate_chip_cost(chip, parsec_like("canneal", n_ops=1500), 3)
+    assert cost > 0
+    assert built == []
+
+
+def test_layer_traces_are_built_once_on_read():
+    result = _run()
+    assert "l2_trace" not in result.__dict__
+    assert "dram_trace" not in result.__dict__
+    l2_trace, dram_trace = result.l2_trace, result.dram_trace
+    assert result.l2_trace is l2_trace and result.dram_trace is dram_trace
     # Lengths count records, not the buffers' int items.
-    assert len(hierarchy._l2_records) == 2 * len(addresses)
-    assert len(l2_trace) == len(dram_trace) == len(addresses)
-    assert l2_trace.starts[0] == l2_first.starts[0]
-    assert set(l2_trace.hit_lengths.tolist()) == {chip.l2_slice.hit_latency}
-    assert hierarchy.l2_trace() is l2_trace
-    assert hierarchy.dram_trace() is dram_trace
+    assert len(l2_trace) == len(result.l2_records) // 2
+    assert len(dram_trace) == len(result.dram_records) // 2
+    assert set(l2_trace.hit_lengths.tolist()) == {
+        result.chip.l2_slice.hit_latency}
+    assert l2_trace.starts.tolist() == result.l2_records[0::2].tolist()
 
 
 def test_smt_merge_is_a_stable_sort_by_start():
