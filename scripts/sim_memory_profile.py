@@ -2,9 +2,15 @@
 
 Simulates one design point of each ``python3 -m bench`` APS workload
 under :mod:`tracemalloc` and prints, per chip, the traced peak of one
-``CMPSimulator(chip).run(streams)`` and the allocation sites that still
-hold memory when the run returns (the result is alive, as it is when a
-caller reads its cost):
+``CMPSimulator(chip).run(streams)`` and two lists of the largest
+allocation sites:
+
+- *at the peak* — a snapshot taken as the epoch kernel returns, while
+  the run's cores, hierarchy (cache rows, MSHRs, the coherence
+  directory) and the kernel's per-core state are all alive; memory
+  only grows during the run, so this is where its peak sits;
+- *after the run* — the sites that still hold memory when the run
+  returns (the result is alive, as it is when a caller reads its cost).
 
 - ``aps-wide`` — 256 cores, 49-set x 8-way L1s, 22-set x 16-way L2
   slices, ``parsec_like("fluidanimate", n_ops=4000)``: set-up bound;
@@ -29,6 +35,7 @@ import numpy as np
 
 from repro.sim.cmp import CMPSimulator
 from repro.sim.config import SimulatedChip
+from repro.sim.kernel import run_epoch_kernel
 from repro.workloads.parsec import parsec_like
 
 MIB = float(1 << 20)
@@ -53,6 +60,12 @@ def centre_chip(name: str):
     return chip, parsec_like(workload, n_ops=n_ops)
 
 
+def _top_sites(snapshot):
+    return snapshot.filter_traces(
+        [tracemalloc.Filter(False, tracemalloc.__file__)]
+    ).statistics("lineno")[:TOP]
+
+
 def traced_run(chip, streams):
     """Traced peak (bytes) of one run, and its top retained sites."""
     gc.collect()
@@ -64,10 +77,47 @@ def traced_run(chip, streams):
     finally:
         tracemalloc.stop()
     del result
-    stats = snapshot.filter_traces(
-        [tracemalloc.Filter(False, tracemalloc.__file__)]
-    ).statistics("lineno")
-    return peak, stats[:TOP]
+    return peak, _top_sites(snapshot)
+
+
+def at_peak_run(chip, streams):
+    """Traced bytes and top sites as the epoch kernel returns.
+
+    A trace hook on the kernel's frame alone (no line events) takes the
+    snapshot at its ``return`` event, before the frame's locals — the
+    per-core kernel state — are released.
+    """
+    taken = []
+
+    def on_return(frame, event, arg):
+        if event == "return":
+            current, _ = tracemalloc.get_traced_memory()
+            taken.append((current, tracemalloc.take_snapshot()))
+        return on_return
+
+    def on_call(frame, event, arg):
+        if frame.f_code is run_epoch_kernel.__code__:
+            frame.f_trace_lines = False
+            return on_return
+        return None
+
+    gc.collect()
+    tracemalloc.start()
+    sys.settrace(on_call)
+    try:
+        CMPSimulator(chip).run(streams)
+    finally:
+        sys.settrace(None)
+        tracemalloc.stop()
+    (current, snapshot), = taken
+    return current, _top_sites(snapshot)
+
+
+def _print_sites(title: str, sites) -> None:
+    print(title)
+    print(f"  {'KiB':>9}  {'blocks':>8}  site")
+    for stat in sites:
+        print(f"  {stat.size / 1024:9.1f}  {stat.count:8d}  {_site(stat)}")
 
 
 def _site(stat) -> str:
@@ -96,10 +146,11 @@ def profile(name: str) -> None:
     print("traced peak per run (MiB): "
           + ", ".join(f"{p / MIB:.2f}" for p in peaks)
           + f"  (min {min(peaks) / MIB:.2f})")
-    print(f"top {TOP} sites still allocated after the last run:")
-    print(f"  {'KiB':>9}  {'blocks':>8}  site")
-    for stat in sites:
-        print(f"  {stat.size / 1024:9.1f}  {stat.count:8d}  {_site(stat)}")
+    at_peak, peak_sites = at_peak_run(chip, streams)
+    _print_sites(f"top {TOP} sites at the peak ({at_peak / MIB:.2f} MiB "
+                 "traced as the kernel returns):", peak_sites)
+    _print_sites(f"top {TOP} sites still allocated after the last run:",
+                 sites)
     print()
 
 

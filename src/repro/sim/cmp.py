@@ -249,7 +249,7 @@ class CMPSimulator:
 
         The collector is paused for the whole run (and restored on
         return, even on error): the containers a run allocates (cache
-        rows, MSHR heap pairs, directory sets, the scalar path's ROB
+        rows, MSHR heap pairs, directory entries, the scalar path's ROB
         pairs) stay reachable until the result is built, so generational
         passes mid-run are pure overhead — they scan the entire live
         heap and free nothing.

@@ -173,11 +173,11 @@ class CoreModel:
         self.instr_index = (np.cumsum(gaps)
                             + np.arange(addresses.size, dtype=np.int64))
         # Hot-loop views: plain lists index ~10x faster than ndarrays.
-        # The address/write columns are boxed on first read
-        # (__getattr__): both paths read the write flags, but only the
-        # scalar path reads the addresses, so a kernel run that never
-        # falls back leaves them unboxed.
-        self._instr_list: list[int] = self.instr_index.tolist()
+        # The address, write and instruction-index columns are boxed on
+        # first read (__getattr__): both paths read the write flags, but
+        # only the scalar path reads the addresses and instruction
+        # indexes, so a kernel run that never falls back leaves them
+        # unboxed.
         # Bandwidth-limited issue cycle of each op, divided out once.
         self._base_issue: list[int] = (
             self.instr_index // self._issue_width).tolist()
@@ -214,11 +214,14 @@ class CoreModel:
 
     def __getattr__(self, name: str):
         # Lazily boxed per-op columns, cached on first access.  The
-        # epoch kernel reads ``_write_list`` too; ``_addr_list`` is read
-        # only by ``advance``, so a kernel run with no fallbacks never
-        # converts it.
+        # epoch kernel reads ``_write_list`` too; ``_addr_list`` and
+        # ``_instr_list`` are read only by the scalar ``step``/``advance``
+        # and by a peek with a non-empty ROB window, so a kernel run
+        # with no fallbacks never converts them.
         if name == "_addr_list":
             value: list = self.addresses.tolist()
+        elif name == "_instr_list":
+            value = self.instr_index.tolist()
         elif name == "_write_list":
             value = self.writes.tolist()
         else:
@@ -255,13 +258,14 @@ class CoreModel:
         if self._retire_op != j:
             self._retire_op = j
             self._retire_max = 0
-        bound = self._instr_list[j] - self._rob_size
         outstanding = self._outstanding
         committed = self._retire_max
-        while outstanding and outstanding[0][0] <= bound:
-            done_t = outstanding.popleft()[1]
-            if done_t > committed:
-                committed = done_t
+        if outstanding:
+            bound = self._instr_list[j] - self._rob_size
+            while outstanding and outstanding[0][0] <= bound:
+                done_t = outstanding.popleft()[1]
+                if done_t > committed:
+                    committed = done_t
         self._retire_max = committed
         return t if t >= committed else committed
 

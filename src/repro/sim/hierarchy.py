@@ -57,12 +57,14 @@ class MemoryHierarchy:
         # latency)`` per DRAM demand access.
         self._l2_records = array("q")
         self._dram_records = array("q")
-        # MSI-lite directory: L1 line number -> set of sharer core ids.
-        # Active only when the per-core L1s register themselves (the CMP
-        # simulator wires this up); a None registry means non-coherent
-        # private L1s, the paper's other Fig. 3 variant.
+        # MSI-lite directory: line number -> sharer bitmask, with bit
+        # ``1 << core_id`` set per sharer (Python ints are unbounded, so
+        # any core count fits).  Active only when the per-core L1s
+        # register themselves (the CMP simulator wires this up); a None
+        # registry means non-coherent private L1s, the paper's other
+        # Fig. 3 variant.
         self._l1_caches = l1_caches
-        self._sharers: dict[int, set[int]] = {}
+        self._sharers: dict[int, int] = {}
         self.invalidations = 0
         self.upgrades = 0
         self.dram_writes = 0
@@ -89,18 +91,19 @@ class MemoryHierarchy:
         """
         if self._l1_caches is None:
             return 0
-        sharers = self._sharers.get(l1_line)
-        if not sharers:
-            self._sharers[l1_line] = {core_id}
-            return 0
+        own = 1 << core_id
+        # Walk the other sharers' set bits, lowest first.  Order cannot
+        # change the result: only the max and the counters depend on it.
+        others = self._sharers.get(l1_line, 0) & ~own
+        self._sharers[l1_line] = own
         extra = 0
-        for other in list(sharers):
-            if other == core_id:
-                continue
+        while others:
+            low = others & -others
+            others ^= low
+            other = low.bit_length() - 1
             if self._l1_caches[other].invalidate(address):
                 self.invalidations += 1
             extra = max(extra, self.noc.round_trip(core_id, other))
-        self._sharers[l1_line] = {core_id}
         return extra
 
     def upgrade(self, core_id: int, address: int, time: int) -> int:
@@ -114,8 +117,8 @@ class MemoryHierarchy:
             return time
         l1_line = address // self.chip.l2_slice.line_bytes
         sharers = self._sharers.get(l1_line)
-        if sharers is None or sharers == {core_id}:
-            self._sharers[l1_line] = {core_id}
+        if sharers is None or sharers == 1 << core_id:
+            self._sharers[l1_line] = 1 << core_id
             return time
         self.upgrades += 1
         return time + self._invalidate_sharers(core_id, address, l1_line)
@@ -156,7 +159,7 @@ class MemoryHierarchy:
             if write:
                 arrive += self._invalidate_sharers(core_id, address, line)
             else:
-                self._sharers.setdefault(line, set()).add(core_id)
+                self._sharers[line] = self._sharers.get(line, 0) | 1 << core_id
         bank = line % self._l2_banks
         bank_free = self._bank_free[home]
         start = arrive if arrive >= bank_free[bank] else bank_free[bank]

@@ -9,14 +9,15 @@ scalar loop by the Hypothesis suite
 ``tests/sim/test_kernel_differential.py``, and with it to the golden
 digests and seeded corpus of ``tests/sim/test_differential_golden.py``):
 
-- **Structure-of-arrays epoch prep** — the address decompositions the
-  event loop would compute one op at a time are lifted into NumPy int64
-  column arithmetic, once per core.  Every access reads two flat lists,
-  the write flag and the L1 line, and derives the L1 set, tag and bank
-  from the line with three integer ops; a *cold* row ``(l2_line,
-  home_slice, l2_set, l2_tag, l2_bank, noc_out, noc_back, dram_bank,
-  dram_row)`` is consulted only on L1 misses, where one row unpack
-  replaces nine scalar column loads.
+- **Structure-of-arrays epoch prep** — the two per-op columns every
+  access reads, the write flag and the L1 line, are computed with NumPy
+  and boxed to flat lists once per core; the loop derives the L1 set,
+  tag and bank from the line with three integer ops.  Fields only an
+  L1 miss needs are derived on demand: a primary miss reads its
+  address from the int64 column and computes the L2 line, home slice
+  and bank, and, when it gets that far, the L2 set and tag and the DRAM
+  bank and row; the NoC latency comes from the mesh formula.  A
+  coherent write hit derives only the L2 line.
 - **Epoch batching** — after popping a core from the ready heap, the
   kernel keeps advancing that core while its next op's issue bound
   provably precedes every other core's next bound (strict
@@ -90,6 +91,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import InvalidParameterError
+from repro.sim.noc import _mesh_latency
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.sim.core import CoreModel
@@ -136,11 +138,12 @@ class KernelStats:
 #   1 lines        per-op L1 line number; set, tag and bank are derived
 #                  in the loop (line % sets1, line // sets1,
 #                  line % banks1)
-#   2 cold   per-op [l2_line, home, l2_set, l2_tag, l2_bank,
-#                    noc_out, noc_back, dram_bank, dram_row]
-#            (kept as an int64 ndarray; rows are boxed lazily on the
-#            primary-miss path, which is the only consumer)
-#   3 instr        instruction index column (core._instr_list)
+#   2 addr_at      core.addresses.item: op j's address as a Python int,
+#                  read only on the L1-miss and coherent write-hit
+#                  paths, which derive their L2/DRAM fields from it
+#   3 instr        instruction index column (core.instr_index, int64
+#                  ndarray; boxed only for the [p, j) deque window
+#                  at flush seams)
 #   4 base_issue   bandwidth-limited issue column (core._base_issue)
 #   5 pmax         ROB pop boundary column: the commit pointer after
 #                  op j's watermark drain is exactly
@@ -173,48 +176,29 @@ class KernelStats:
 _MUT = 24
 
 
-def _core_state(core: "CoreModel", hierarchy: "MemoryHierarchy") -> list:
+def _core_state(core: "CoreModel") -> list:
     """Build one core's kernel state list (SoA columns + aliases)."""
-    chip = hierarchy.chip
     addr = core.addresses
-    n = chip.n_cores
-    cid = core.core_id
     l1cfg = core.l1.config
-    sets1 = core.l1.num_sets
-    l2cfg = chip.l2_slice
-    dramcfg = chip.dram
-    sets2 = hierarchy.slices[0].num_sets
-    line2 = addr // l2cfg.line_bytes
-    home = line2 % n
-    coldm = np.empty((addr.size, 9), dtype=np.int64)
-    coldm[:, 0] = line2
-    coldm[:, 1] = home
-    coldm[:, 2] = line2 % sets2
-    coldm[:, 3] = line2 // sets2
-    coldm[:, 4] = line2 % l2cfg.banks
-    # Mesh latency is symmetric: the way back costs the way out.
-    coldm[:, 5] = coldm[:, 6] = hierarchy.noc.latencies(cid, home)
-    coldm[:, 7] = (addr // dramcfg.row_bytes) % dramcfg.banks
-    coldm[:, 8] = addr // (dramcfg.row_bytes * dramcfg.banks)
     # Every op reads its write flag and L1 line, so those two columns
     # are boxed to flat lists eagerly (the write list is the scalar
-    # path's own); the cold matrix stays an ndarray and rows are boxed
-    # lazily on the primary-miss path — only ~1/3 of ops ever read one.
+    # path's own); an L1 miss reads its address as a Python int
+    # straight from the int64 column (``ndarray.item``).
     instr_idx = core.instr_index
     pmax = np.minimum(
         np.searchsorted(instr_idx, instr_idx - core._rob_size,
                         side="right"),
         np.arange(core._n_ops, dtype=np.int64))
     state = [
-        core._write_list, (addr // l1cfg.line_bytes).tolist(), coldm,
-        core._instr_list, core._base_issue,
+        core._write_list, (addr // l1cfg.line_bytes).tolist(), addr.item,
+        instr_idx, core._base_issue,
         pmax.tolist(),
         [0] * core._n_ops,
         core._bank_free, core.l1._tags, core.l1._lru, core.l1._dirty,
         core.mshr._pending, core.mshr._pending.get, core.mshr._heap,
         core._starts, core._penalties, core._n_ops, core._hit_latency,
-        sets1, l1cfg.banks, core.mshr.capacity, core._line_bytes,
-        core.l1, core,
+        core.l1.num_sets, l1cfg.banks, core.mshr.capacity,
+        core._line_bytes, core.l1, core,
     ]
     state.extend(0 for _ in range(11))
     _reload_core(state)
@@ -275,7 +259,7 @@ def _flush_core(state: list) -> None:
     mshr.stall_events = stall1
     out = core._outstanding
     out.clear()
-    out.extend(zip(state[3][p:j], state[6][p:j]))
+    out.extend(zip(state[3][p:j].tolist(), state[6][p:j]))
 
 
 class _HierState:
@@ -400,7 +384,7 @@ def run_epoch_kernel(cores: "list[CoreModel]",
     stats = KernelStats()
     hpush = heappush
     hpop = heappop
-    states = [_core_state(core, hierarchy) for core in cores]
+    states = [_core_state(core) for core in cores]
     hs = _HierState(hierarchy)
 
     heap: "list[tuple[int, int]]" = []
@@ -439,6 +423,8 @@ def run_epoch_kernel(cores: "list[CoreModel]",
     n2 = hs.n_cores
     l2b = hierarchy._l2_banks
     noc_flat = hierarchy._noc_lat
+    noc_side = hierarchy.noc.side
+    noc_cfg = hierarchy.noc.config
     dram_open = hs.dram_open
     dram_free = hs.dram_free
     row_hit_c = hs.row_hit_c
@@ -447,6 +433,7 @@ def run_epoch_kernel(cores: "list[CoreModel]",
     bus_c = hs.bus_c
     dram_row_bytes = hs.row_bytes
     dram_banks = hs.dram_banks
+    dram_span = dram_row_bytes * dram_banks
     trav = hs.traversals
     l2acc = hs.l2_accesses
     l2h = hs.l2_hits
@@ -469,11 +456,12 @@ def run_epoch_kernel(cores: "list[CoreModel]",
             top_t, top_c = inf, -1
         epochs += 1
         S = states[cid]
-        (writes, lines, cold, instr, base_issue, pmax, dones, bank_free,
+        (writes, lines, addr_at, _, base_issue, pmax, dones, bank_free,
          tags1, lru1, dirty1, pending, pending_get, heap1, starts, pens,
          n_ops, hit_lat, sets1, banks1, capacity1, lb1, l1_obj, core_obj,
          j, barrier, retire_max, last_done, tick1, hits1, misses1,
          prim1, sec1, stall1, p) = S
+        cbit = 1 << cid
         nf1 = heap1[0][0] if heap1 else inf
 
         while True:
@@ -521,9 +509,9 @@ def run_epoch_kernel(cores: "list[CoreModel]",
                 if tg in row:
                     # ----- L1 hit ------------------------------------
                     if w and coherent:
-                        ln2 = int(cold[j, 0])
+                        ln2 = addr_at(j) // lb2
                         s = sharers_get(ln2)
-                        if s is not None and (cid not in s or len(s) > 1):
+                        if s is not None and s != cbit:
                             # Upgrade with remote invalidations:
                             # structural -> scalar fallback.
                             fb = True
@@ -538,17 +526,17 @@ def run_epoch_kernel(cores: "list[CoreModel]",
                             if coherent:
                                 # Contention-free ownership grab
                                 # (hierarchy.upgrade, zero extra).
-                                sharers[ln2] = {cid}
+                                sharers[ln2] = cbit
                         done = issue + hit_lat
                         # A hit's penalty is the column's zero.
                         starts[j] = issue
                 else:
                     # ----- primary miss ------------------------------
-                    (ln2, home, s2, tg2, b2, nout, nback, db,
-                     dr) = cold[j].tolist()
+                    a = addr_at(j)
+                    ln2 = a // lb2
                     if w and coherent:
                         s = sharers_get(ln2)
-                        if s is not None and (cid not in s or len(s) > 1):
+                        if s is not None and s != cbit:
                             # Write miss must invalidate remote
                             # sharers: structural -> fallback.
                             fb = True
@@ -658,20 +646,21 @@ def run_epoch_kernel(cores: "list[CoreModel]",
                             if alloc > base and alloc > barrier:
                                 barrier = alloc
                         # ----- hierarchy.service_miss, inlined -------
+                        home = ln2 % n2
+                        # Mesh latency is symmetric: the way back costs
+                        # the way out.
+                        nlat = _mesh_latency(cid, home, noc_side, noc_cfg)
                         trav += 1
-                        arrive = alloc + nout
+                        arrive = alloc + nlat
                         if coherent:
                             if w:
                                 # _invalidate_sharers with no remote
                                 # sharer: claim ownership, zero extra.
-                                sharers[ln2] = {cid}
+                                sharers[ln2] = cbit
                             else:
-                                s = sharers_get(ln2)
-                                if s is None:
-                                    sharers[ln2] = {cid}
-                                else:
-                                    s.add(cid)
+                                sharers[ln2] = sharers_get(ln2, 0) | cbit
                         bf2 = bank_free2[home]
+                        b2 = ln2 % l2b
                         b2f = bf2[b2]
                         start = arrive if arrive >= b2f else b2f
                         bf2[b2] = start + 1
@@ -693,6 +682,8 @@ def run_epoch_kernel(cores: "list[CoreModel]",
                         else:
                             t2 = tick2[home] + 1
                             tick2[home] = t2
+                            s2 = ln2 % sets2
+                            tg2 = ln2 // sets2
                             row2 = tags2[home][s2]
                             if tg2 in row2:
                                 lru2[home][s2][row2.index(tg2)] = t2
@@ -760,6 +751,8 @@ def run_epoch_kernel(cores: "list[CoreModel]",
                                     alloc2 = (base2 if base2 >= fill_t
                                               else fill_t)
                                 # ----- demand DRAM access ------------
+                                db = (a // dram_row_bytes) % dram_banks
+                                dr = a // dram_span
                                 dbf = dram_free[db]
                                 ds = alloc2 if alloc2 >= dbf else dbf
                                 dwait += ds - alloc2
@@ -795,7 +788,7 @@ def run_epoch_kernel(cores: "list[CoreModel]",
                                 l2rec_append(start)
                                 l2rec_append(done2 - start - hl2)
                         trav += 1
-                        done = done2 + nback
+                        done = done2 + nlat
                         # ----- L1 MSHR allocate (retire, insert) -----
                         if nf1 <= alloc:
                             while heap1 and heap1[0][0] <= alloc:

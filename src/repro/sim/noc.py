@@ -8,20 +8,17 @@ about are concentrated at the L2 banks and DRAM, which are modeled
 explicitly.
 
 Latencies come from one piece of arithmetic on mesh coordinates
-(:func:`_mesh_latency`), applied two ways: vectorised over a whole
-column of destinations (:meth:`MeshNoC.latencies`, the epoch kernel's
-per-op prep) and per pair through a flat ``src * n + dst`` table that
-fills on first read (the scalar event loop and the kernel's fallback
-paths).  Nothing is precomputed:
-an ``n``-tile mesh has ``n**2`` pairs, and a many-core run with a few
-operations per core reads almost none of them.
+(:func:`_mesh_latency`).  The scalar event loop and the writeback path
+read it through a flat ``src * n + dst`` table that fills on first
+read; the epoch kernel's demand misses call it directly, so on a
+many-core chip, where most pairs are read once, the table stays small.
+Nothing is precomputed: an ``n``-tile mesh has ``n**2`` pairs, and a
+many-core run with a few operations per core reads almost none of them.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from repro.errors import InvalidParameterError
 from repro.sim.config import NoCConfig
@@ -29,12 +26,8 @@ from repro.sim.config import NoCConfig
 __all__ = ["MeshNoC"]
 
 
-def _mesh_latency(src, dst, side: int, config: NoCConfig):
-    """One-way latency between tiles ``src`` and ``dst``.
-
-    Works elementwise on ints and int64 arrays alike, so the scalar
-    table and the vectorised column share one formula.
-    """
+def _mesh_latency(src: int, dst: int, side: int, config: NoCConfig) -> int:
+    """One-way latency between tiles ``src`` and ``dst``."""
     hops = abs(src % side - dst % side) + abs(src // side - dst // side)
     return config.router_latency + config.hop_latency * hops
 
@@ -95,15 +88,6 @@ class MeshNoC:
                 f"node pair ({src}, {dst}) outside [0, {self.n_nodes})")
         self.traversals += 1
         return self._lat[src * self.n_nodes + dst]
-
-    def latencies(self, src: "int | np.ndarray",
-                  dst: np.ndarray) -> np.ndarray:
-        """One-way latencies from ``src`` to each tile of the int64
-        column ``dst`` (``src`` a tile or a column of equal length).
-
-        Counts no traversal: it prices routes, it does not take them.
-        """
-        return _mesh_latency(src, dst, self.side, self.config)
 
     def round_trip(self, src: int, dst: int) -> int:
         """Request + response latency."""

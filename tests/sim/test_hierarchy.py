@@ -153,7 +153,10 @@ def test_aps_narrow_centre_run_peaks_in_bounded_memory():
     With a boxed ``(start, hit, penalty)`` tuple per L1, L2 and DRAM
     access and a boxed 5-int hot row per op, one run traced a 16.6 MiB
     peak; with int64 record columns and flat line/write lists it
-    traces 11.2 MiB (deterministic across runs).
+    traced 11.2 MiB.  With the coherence directory as one bitmask int
+    per line, L1-miss fields derived from the address on demand and the
+    instruction-index column left unboxed, it traces 7.2 MiB
+    (deterministic across runs).
     """
     chip, workload = sim_memory_profile.centre_chip("aps-narrow")
     assert (chip.n_cores, chip.l1.size_kib, chip.l2_slice.size_kib) == (
@@ -167,4 +170,38 @@ def test_aps_narrow_centre_run_peaks_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert sum(core.mem_ops for core in result.cores) == 19908
-    assert peak < 13.5 * 2**20
+    assert peak < 8.0 * 2**20
+
+
+@pytest.mark.parametrize("use_kernel", [True, False])
+def test_directory_tracks_sharers_past_64_cores(monkeypatch, use_kernel):
+    """The sharer bitmask is unbounded: cores 64 and 70 are bits too.
+
+    Cores 0, 64 and 70 read one line at cycle 0; core 64 writes it
+    long after its fill has landed, a write hit on a shared line.  The
+    upgrade must invalidate exactly the copies of cores 0 and 70 and
+    leave core 64 the sole sharer.
+    """
+    built = []
+
+    class Recording(MemoryHierarchy):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr("repro.sim.cmp.MemoryHierarchy", Recording)
+    chip = SimulatedChip(n_cores=72)
+    address = 5 * chip.l1.line_bytes
+    empty = (np.zeros(0, np.int64), np.zeros(0, np.int64))
+    streams = [empty] * chip.n_cores
+    streams[0] = streams[70] = (np.array([address]), np.array([0]))
+    streams[64] = (np.array([address, address]), np.array([0, 4000]),
+                   np.array([False, True]))
+    result = CMPSimulator(chip, use_kernel=use_kernel).run(streams)
+    (hierarchy,) = built
+    assert result.invalidations == hierarchy.invalidations == 2
+    assert result.upgrades == 1
+    assert [c for c in range(chip.n_cores)
+            if hierarchy._l1_caches[c].probe(address)] == [64]
+    line = address // chip.l2_slice.line_bytes
+    assert hierarchy._sharers[line] == 1 << 64

@@ -30,7 +30,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.camat.analyzer import TraceAnalyzer
 from repro.dse.evaluate import SimulatorEvaluator
 from repro.obs import get_registry
 from repro.runconfig import install
@@ -73,25 +72,6 @@ def test_kernel_matches_scalar_loop(case):
     chip, streams = case
     assert (_observables(chip, streams, use_kernel=True)
             == _observables(chip, streams, use_kernel=False))
-
-
-@settings(max_examples=20, deadline=None)
-@given(_case())
-def test_analyzer_matches_seed_on_fuzzed_traces(case):
-    """Memoized per-core statistics equal a fresh analysis.
-
-    ``SimulationResult.core_stats`` memoizes one analysis of each
-    core's columnar trace, and ``layer_apc`` shares it.  A fresh
-    :class:`TraceAnalyzer` pass over the same trace must match it
-    field for field on arbitrary fuzzed traces, not just the golden
-    ones.
-    """
-    chip, streams = case
-    _, result = run_streams(chip, streams)
-    analyzer = TraceAnalyzer()
-    for core_id in range(chip.n_cores):
-        assert (result.core_stats(core_id)
-                == analyzer.analyze(result.core_trace(core_id)))
 
 
 # n=1/2 cover the issue-width x ROB grid; n=10 (a partial 4x4 mesh)

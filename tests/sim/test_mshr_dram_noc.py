@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError
@@ -133,8 +132,6 @@ class TestNoC:
                  for d in range(n)] for s in range(n)]
         assert [[noc.latency(s, d) for d in range(n)]
                 for s in range(n)] == want
-        nodes = np.arange(n, dtype=np.int64)
-        assert [noc.latencies(s, nodes).tolist() for s in range(n)] == want
         assert noc.traversals == n * n
 
     def test_latency_table_fills_on_first_read(self):
