@@ -158,12 +158,16 @@ def test_sim_hotpath_speedup(benchmark, results_dir, tmp_path):
     assert warm_hits == len(warm_costs)
 
     speedup = scalar_s / kernel_s
+    # The kernel window per simulated memory op: the figure that the
+    # per-op cost of typed columns (docs/DSE_PERFORMANCE.md) is read in.
+    mem_ops = sum(core.mem_ops for core in result.cores)
     path = update_bench_record(
         benchmark.name,
         n_cores=chip.n_cores,
         n_ops=N_OPS,
         scalar_s=scalar_s,
         kernel_s=kernel_s,
+        kernel_ns_per_mem_op=kernel_s / mem_ops * 1e9,
         speedup=speedup,
         min_speedup=MIN_SPEEDUP,
         measure_rounds=rounds,

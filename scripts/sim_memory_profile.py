@@ -2,8 +2,9 @@
 
 Simulates one design point of each ``python3 -m bench`` APS workload
 under :mod:`tracemalloc` and prints, per chip, the traced peak of one
-``CMPSimulator(chip).run(streams)`` and two lists of the largest
-allocation sites:
+``CMPSimulator(chip).run(streams)``, the growth of the process's peak
+RSS over one untraced run in a fresh interpreter, and two lists of the
+largest allocation sites:
 
 - *at the peak* — a snapshot taken as the epoch kernel returns, while
   the run's cores, hierarchy (cache rows, MSHRs, the coherence
@@ -18,7 +19,12 @@ allocation sites:
   ``parsec_like("canneal", n_ops=20000)``: per-access state bound.
 
 Streams are drawn before tracing starts, so the peak is the
-simulator's own.  Stdlib only, apart from the package itself.  Usage::
+simulator's own.  The traced peak counts Python allocations only and
+is deterministic; the RSS growth (``ru_maxrss`` after the run minus
+before it, in a spawned process that has drawn its streams) is what a
+benchmark's ``peak_rss_mib`` sees of the same run, allocator slack
+included, so read the two side by side.  Stdlib only, apart from the
+package itself.  Usage::
 
     PYTHONPATH=src python scripts/sim_memory_profile.py
 """
@@ -26,7 +32,9 @@ simulator's own.  Stdlib only, apart from the package itself.  Usage::
 from __future__ import annotations
 
 import gc
+import multiprocessing
 import os
+import resource
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -80,6 +88,33 @@ def traced_run(chip, streams):
     return peak, _top_sites(snapshot)
 
 
+def _maxrss_mib() -> float:
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports KiB, macOS bytes.
+    return rss / MIB if sys.platform == "darwin" else rss / 1024.0
+
+
+def _rss_growth(name: str) -> float:
+    """Peak-RSS growth (MiB) over one untraced run in this process."""
+    chip, workload = centre_chip(name)
+    streams = workload.streams(chip.n_cores, np.random.default_rng(SEED))
+    gc.collect()
+    before = _maxrss_mib()
+    CMPSimulator(chip).run(streams)
+    return _maxrss_mib() - before
+
+
+def rss_growth(name: str) -> float:
+    """:func:`_rss_growth` in a fresh interpreter (spawned, one task).
+
+    On Linux a new process starts from its parent's ``ru_maxrss``, so
+    this is called before the parent has traced anything: the child's
+    own imports and streams then lie above the inherited mark.
+    """
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        return pool.apply(_rss_growth, (name,))
+
+
 def at_peak_run(chip, streams):
     """Traced bytes and top sites as the epoch kernel returns.
 
@@ -131,7 +166,7 @@ def _site(stat) -> str:
     return f"{path}:{frame.lineno}"
 
 
-def profile(name: str) -> None:
+def profile(name: str, growth: float) -> None:
     chip, workload = centre_chip(name)
     streams = workload.streams(chip.n_cores, np.random.default_rng(SEED))
     mem_ops = sum(int(s[0].size) for s in streams)
@@ -146,6 +181,7 @@ def profile(name: str) -> None:
     print("traced peak per run (MiB): "
           + ", ".join(f"{p / MIB:.2f}" for p in peaks)
           + f"  (min {min(peaks) / MIB:.2f})")
+    print(f"peak RSS growth of one run in a fresh process: {growth:.2f} MiB")
     at_peak, peak_sites = at_peak_run(chip, streams)
     _print_sites(f"top {TOP} sites at the peak ({at_peak / MIB:.2f} MiB "
                  "traced as the kernel returns):", peak_sites)
@@ -155,8 +191,9 @@ def profile(name: str) -> None:
 
 
 def main() -> int:
+    growths = {name: rss_growth(name) for name in CENTRE_CHIPS}
     for name in CENTRE_CHIPS:
-        profile(name)
+        profile(name, growths[name])
     return 0
 
 

@@ -1,14 +1,14 @@
 """Set-associative cache with true-LRU replacement.
 
-Each set's tag, LRU and dirty state is a plain Python list (a *row*):
-at the one-address-at-a-time granularity of the event loop, C-level
+Each set's tag and LRU state is a plain Python list (a *row*): at the
+one-address-at-a-time granularity of the event loop, C-level
 ``list.index``/``min`` over an 8-16 way row beats NumPy's per-call array
 machinery by an order of magnitude, and the cache is on the hot path of
 every simulated access.  Banking is modeled by the owning component
 (:class:`repro.sim.core.CoreModel` for L1 hit concurrency); this class is
 purely the hit/miss/replacement state.
 
-Rows exist only for sets a run has touched.  The three stores are
+Rows exist only for sets a run has touched.  The two row stores are
 ``defaultdict``s keyed by set index whose factory (a C-level
 ``partial(list, template)``) creates an empty row on the first
 subscript, so a lookup reads ``tags[set_idx]`` exactly as it would a
@@ -18,6 +18,13 @@ sets; building every row eagerly would dominate the run.  The
 non-allocating queries (:meth:`probe`, :meth:`invalidate`,
 :meth:`is_dirty`, :meth:`set_dirty`) read with ``.get`` and never
 create a row: an untouched set holds no line.
+
+Dirty state is one bitmask int per set in a plain dict, bit
+``1 << way`` set while that way holds a dirty line; a missing key and
+a zero mask both mean a clean set.  Only sets that have held a dirty
+line cost an entry, of one int (a read-only run keeps the dict empty).
+The epoch kernel (:mod:`repro.sim.kernel`) reads and writes the same
+dict.
 
 Replacement semantics are pinned by the differential golden tests: the
 hit way is the *first* matching way and the victim is the *first* way
@@ -64,8 +71,7 @@ class SetAssociativeCache:
             partial(list, (-1,) * assoc))
         self._lru: defaultdict[int, list[int]] = defaultdict(
             partial(list, (0,) * assoc))
-        self._dirty: defaultdict[int, list[bool]] = defaultdict(
-            partial(list, (False,) * assoc))
+        self._dirty: dict[int, int] = {}
         self._tick = 0
         self.hits = 0
         self.misses = 0
@@ -118,21 +124,35 @@ class SetAssociativeCache:
             way = row.index(tag)
             self._lru[set_idx][way] = self._tick
             if write:
-                self._dirty[set_idx][way] = True
+                dirty = self._dirty
+                dirty[set_idx] = dirty.get(set_idx, 0) | 1 << way
             self.hits += 1
             return True, None
         self.misses += 1
         lru_row = self._lru[set_idx]
         victim = lru_row.index(min(lru_row))
-        writeback: "int | None" = None
-        dirty_row = self._dirty[set_idx]
-        if dirty_row[victim] and row[victim] >= 0:
-            self.writebacks += 1
-            writeback = row[victim] * self._sets + set_idx
+        writeback = self._replace_dirty(set_idx, victim, row[victim], write)
         row[victim] = tag
         lru_row[victim] = self._tick
-        dirty_row[victim] = write
         return False, writeback
+
+    def _replace_dirty(self, set_idx: int, way: int, old_tag: int,
+                       write: bool) -> "int | None":
+        """Set ``way``'s dirty bit to ``write`` as a fill replaces it.
+
+        Returns the line number of the dirty victim being replaced (a
+        writeback, counted here), or ``None``.
+        """
+        dirty = self._dirty
+        mask = dirty.get(set_idx, 0)
+        was = mask >> way & 1
+        writeback: "int | None" = None
+        if was and old_tag >= 0:
+            self.writebacks += 1
+            writeback = old_tag * self._sets + set_idx
+        if was != write:
+            dirty[set_idx] = mask ^ 1 << way
+        return writeback
 
     def probe(self, address: int) -> bool:
         """Non-allocating lookup (no LRU update, no fill)."""
@@ -152,11 +172,12 @@ class SetAssociativeCache:
         if row is None or tag not in row:
             return False
         way = row.index(tag)
-        if self._dirty[set_idx][way]:
+        mask = self._dirty.get(set_idx, 0)
+        if mask >> way & 1:
             self.writebacks += 1
+            self._dirty[set_idx] = mask ^ 1 << way
         row[way] = -1
         self._lru[set_idx][way] = 0
-        self._dirty[set_idx][way] = False
         return True
 
     def fill(self, address: int) -> "int | None":
@@ -175,16 +196,11 @@ class SetAssociativeCache:
             return None
         lru_row = self._lru[set_idx]
         victim = lru_row.index(min(lru_row))
-        writeback: "int | None" = None
-        dirty_row = self._dirty[set_idx]
-        if dirty_row[victim] and row[victim] >= 0:
-            self.writebacks += 1
-            writeback = row[victim] * self._sets + set_idx
+        writeback = self._replace_dirty(set_idx, victim, row[victim], False)
         row[victim] = tag
         # Insert at LRU-adjacent priority: an untouched prefetch should
         # be the first victim if it turns out useless.
         lru_row[victim] = max(self._tick - self._assoc, 1)
-        dirty_row[victim] = False
         return writeback
 
     def set_dirty(self, address: int) -> bool:
@@ -199,7 +215,8 @@ class SetAssociativeCache:
         tag = line // self._sets
         if row is None or tag not in row:
             return False
-        self._dirty[set_idx][row.index(tag)] = True
+        dirty = self._dirty
+        dirty[set_idx] = dirty.get(set_idx, 0) | 1 << row.index(tag)
         return True
 
     def is_dirty(self, address: int) -> bool:
@@ -210,7 +227,7 @@ class SetAssociativeCache:
         tag = line // self._sets
         if row is None or tag not in row:
             return False
-        return self._dirty[set_idx][row.index(tag)]
+        return bool(self._dirty.get(set_idx, 0) >> row.index(tag) & 1)
 
     @property
     def miss_rate(self) -> float:

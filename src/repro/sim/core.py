@@ -14,11 +14,12 @@ mechanisms that create C-AMAT's concurrency parameters:
 - *MSHRs*: outstanding line misses are bounded by the L1 MSHR file, with
   secondary misses merging.
 
-Hot-path layout: the per-access loop reads plain Python lists (NumPy
-scalar indexing costs ~10x a list index) and writes each access's start
-and miss penalty into two preallocated ``array('q')`` columns (the hit
-latency is one per-core constant).  No per-access record object is
-built: :class:`CoreResult` holds the two columns, and its
+Hot-path layout: the per-access loop reads plain Python lists and typed
+``array('q')`` columns (NumPy scalar indexing costs ~10x a list index,
+an ``array('q')`` index sits between the two) and writes each access's
+start and miss penalty into two preallocated ``array('q')`` columns
+(the hit latency is one per-core constant).  No per-access record
+object is built: :class:`CoreResult` holds the two columns, and its
 :class:`repro.camat.AccessTrace` views them through ``np.frombuffer``
 on first read, via the columnar
 :meth:`~repro.camat.trace.AccessTrace.from_arrays` fast path.
@@ -172,15 +173,17 @@ class CoreModel:
         # Instruction index of each memory op: gaps before it plus earlier ops.
         self.instr_index = (np.cumsum(gaps)
                             + np.arange(addresses.size, dtype=np.int64))
-        # Hot-loop views: plain lists index ~10x faster than ndarrays.
-        # The address, write and instruction-index columns are boxed on
-        # first read (__getattr__): both paths read the write flags, but
-        # only the scalar path reads the addresses and instruction
-        # indexes, so a kernel run that never falls back leaves them
-        # unboxed.
-        # Bandwidth-limited issue cycle of each op, divided out once.
-        self._base_issue: list[int] = (
-            self.instr_index // self._issue_width).tolist()
+        # Hot-loop views: NumPy scalar indexing costs ~10x a list
+        # index, so the loops never index an ndarray.
+        # The address, write and instruction-index columns are boxed to
+        # lists on first read (__getattr__): both paths read the write
+        # flags, but only the scalar path reads the addresses and
+        # instruction indexes, so a kernel run that never falls back
+        # leaves them unboxed.
+        # Bandwidth-limited issue cycle of each op, divided out once
+        # into a typed column (8 bytes per op, no int object per op).
+        self._base_issue = array(
+            "q", (self.instr_index // self._issue_width).tobytes())
         self._n_ops = addresses.size
         self._next = 0
         self._bank_free = (shared_banks if shared_banks is not None

@@ -9,15 +9,18 @@ scalar loop by the Hypothesis suite
 ``tests/sim/test_kernel_differential.py``, and with it to the golden
 digests and seeded corpus of ``tests/sim/test_differential_golden.py``):
 
-- **Structure-of-arrays epoch prep** — the two per-op columns every
-  access reads, the write flag and the L1 line, are computed with NumPy
-  and boxed to flat lists once per core; the loop derives the L1 set,
-  tag and bank from the line with three integer ops.  Fields only an
-  L1 miss needs are derived on demand: a primary miss reads its
-  address from the int64 column and computes the L2 line, home slice
-  and bank, and, when it gets that far, the L2 set and tag and the DRAM
-  bank and row; the NoC latency comes from the mesh formula.  A
-  coherent write hit derives only the L2 line.
+- **Structure-of-arrays epoch prep** — the per-op columns the loop
+  indexes are computed with NumPy once per core and held as flat
+  ``array('q')`` columns (the L1 line, the bandwidth-limited issue
+  cycle, the ROB pop boundary), 8 bytes per op with no int object
+  behind each; only the write flags are a list (of the two bool
+  singletons).  The loop derives the L1 set, tag and bank from the
+  line with three integer ops.  Fields only an L1 miss needs
+  are derived on demand: a primary miss reads its address from the
+  int64 column and computes the L2 line, home slice and bank, and, when
+  it gets that far, the L2 set and tag and the DRAM bank and row; the
+  NoC latency comes from the mesh formula.  A coherent write hit
+  derives only the L2 line.
 - **Epoch batching** — after popping a core from the ready heap, the
   kernel keeps advancing that core while its next op's issue bound
   provably precedes every other core's next bound (strict
@@ -32,10 +35,14 @@ digests and seeded corpus of ``tests/sim/test_differential_golden.py``):
 - **Pointer-based ROB window** — the scalar path's ``_outstanding``
   deque of ``(instr, done)`` pairs is replaced by a single integer
   pointer ``p`` over the precomputed instruction-index column and a
-  flat per-op ``dones`` column: the in-order-commit watermark pops
-  become two list indexes, and the per-op append disappears.  The live
-  deque is materialized from the ``[p, j)`` window only at fallback
-  seams and on return, so the scalar path always sees its exact state.
+  ``dones`` ring of completion cycles, op ``j`` in slot ``j & mask``:
+  the in-order-commit watermark pops become two list indexes, and the
+  per-op append disappears.  The ring is a power-of-two list longer
+  than the ROB (or the core's op count, if smaller), so the window,
+  at most ``rob_size`` ops, never wraps onto itself.  The live deque
+  is materialized from the ``[p, j)`` window only at fallback seams,
+  so the scalar path always sees its exact state; a finished core's
+  deque is left empty (nothing reads it again).
 - **Monolithic inlining** — the L1 lookup, MSHR probe/retire/allocate,
   MSI-lite directory bookkeeping, L2 slice lookup, DRAM bank/row-buffer
   timing and NoC latency lookup are inlined into one loop body
@@ -43,9 +50,10 @@ digests and seeded corpus of ``tests/sim/test_differential_golden.py``):
   LRU rows, MSHR dict+heap, DRAM bank lists, the sharers directory).
   There is no shadow state: the kernel and the scalar path read and
   write the same objects, so control can move between them at any op
-  boundary.  Writes are inlined too — the dirty bit, secondary-merge
-  ``set_dirty`` and the contention-free ownership grab (no other
-  sharer) are all plain dict/list operations.
+  boundary.  Writes are inlined too — the dirty bit (one mask int per
+  set, bit ``1 << way``), secondary-merge ``set_dirty`` and the
+  contention-free ownership grab (no other sharer) are all plain dict
+  and int operations.
 
 Fallback contract
 -----------------
@@ -85,6 +93,7 @@ pins what both must compute.
 
 from __future__ import annotations
 
+from array import array
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
@@ -134,9 +143,9 @@ class KernelStats:
 # whole run (SoA columns, live container aliases, geometry), the tail
 # S[_MUT:] holds the mutable scalar snapshot written back at epoch end:
 #
-#   0 writes       per-op write flag (core._write_list)
-#   1 lines        per-op L1 line number; set, tag and bank are derived
-#                  in the loop (line % sets1, line // sets1,
+#   0 writes       per-op write flag (core._write_list, a list of bools)
+#   1 lines        per-op L1 line number (array('q')); set, tag and bank
+#                  are derived in the loop (line % sets1, line // sets1,
 #                  line % banks1)
 #   2 addr_at      core.addresses.item: op j's address as a Python int,
 #                  read only on the L1-miss and coherent write-hit
@@ -144,14 +153,17 @@ class KernelStats:
 #   3 instr        instruction index column (core.instr_index, int64
 #                  ndarray; boxed only for the [p, j) deque window
 #                  at flush seams)
-#   4 base_issue   bandwidth-limited issue column (core._base_issue)
-#   5 pmax         ROB pop boundary column: the commit pointer after
-#                  op j's watermark drain is exactly
+#   4 base_issue   bandwidth-limited issue column (core._base_issue,
+#                  array('q'), shared with the scalar path)
+#   5 pmax         ROB pop boundary column (array('q')): the commit
+#                  pointer after op j's watermark drain is exactly
 #                  min(j, bisect_right(instr, instr[j] - rob_size)),
 #                  a pure function of the static columns — precomputed
 #                  so the per-op drain is a pointer compare
-#   6 dones        per-op completion cycles (kernel-maintained)
-#   7 bank_free  8 tags1  9 lru1  10 dirty1  11 pending  12 pending.get
+#   6 dones        ring of completion cycles, op j at j & (len - 1)
+#                  (kernel-maintained list; see the ROB bullet above)
+#   7 bank_free  8 tags1  9 lru1  10 dirty1 (set -> dirty-way mask)
+#   11 pending  12 pending.get
 #   13 heap1  14 starts  15 penalties  (live CoreModel containers; the
 #                  last two are the zeroed array('q') record columns —
 #                  each op's slots are stored once, so a zero penalty
@@ -162,11 +174,8 @@ class KernelStats:
 #   24 j  25 barrier  26 retire_max  27 last_done  28 tick1  29 hits1
 #   30 misses1  31 prim1  32 sec1  33 stall1  34 p
 #
-# ``last_done`` is carried but not maintained per op: the running max
-# of completion times is recovered at flush seams as
-# max(slot, max(dones[:j])) — the slot covers scalar-executed ops whose
-# deque pairs were already committed, ``dones`` covers every
-# kernel-executed op — so the per-op compare disappears from the loop.
+# ``last_done`` is the running max of completion times, kept per op
+# as the scalar step keeps it: the ring forgets committed ops.
 # ``l1.writebacks`` is deliberately NOT mirrored: a coherence
 # invalidation triggered by *another* core's write fallback bumps it on
 # the live object between this core's epochs, so the kernel always
@@ -180,20 +189,23 @@ def _core_state(core: "CoreModel") -> list:
     """Build one core's kernel state list (SoA columns + aliases)."""
     addr = core.addresses
     l1cfg = core.l1.config
-    # Every op reads its write flag and L1 line, so those two columns
-    # are boxed to flat lists eagerly (the write list is the scalar
-    # path's own); an L1 miss reads its address as a Python int
-    # straight from the int64 column (``ndarray.item``).
+    # The static int columns every op indexes are typed: an
+    # ``array('q')`` index boxes the int it reads, about 15 ns more
+    # than a list index, but the column holds 8 bytes per op where a
+    # list holds a pointer and an int object.  The completion ring is
+    # a list: it is written and read once per op and stays small.  The
+    # write list is the scalar path's own.  An L1 miss reads its
+    # address as a Python int straight from the int64 column
+    # (``ndarray.item``).
     instr_idx = core.instr_index
     pmax = np.minimum(
         np.searchsorted(instr_idx, instr_idx - core._rob_size,
                         side="right"),
         np.arange(core._n_ops, dtype=np.int64))
     state = [
-        core._write_list, (addr // l1cfg.line_bytes).tolist(), addr.item,
-        instr_idx, core._base_issue,
-        pmax.tolist(),
-        [0] * core._n_ops,
+        core._write_list, array("q", (addr // l1cfg.line_bytes).tobytes()),
+        addr.item, instr_idx, core._base_issue, array("q", pmax.tobytes()),
+        [0] * (1 << min(core._rob_size, core._n_ops).bit_length()),
         core._bank_free, core.l1._tags, core.l1._lru, core.l1._dirty,
         core.mshr._pending, core.mshr._pending.get, core.mshr._heap,
         core._starts, core._penalties, core._n_ops, core._hit_latency,
@@ -218,8 +230,9 @@ def _reload_core(state: list) -> None:
     out = core._outstanding
     p = core._next - len(out)
     dones = state[6]
+    mask = len(dones) - 1
     for off, pair in enumerate(out):
-        dones[p + off] = pair[1]
+        dones[(p + off) & mask] = pair[1]
     l1 = core.l1
     mshr = core.mshr
     state[_MUT:] = (core._next, core._issue_barrier, core._retire_max,
@@ -232,9 +245,11 @@ def _flush_core(state: list) -> None:
     """Push the mutable tail back into the live core objects.
 
     Materializes the ``_outstanding`` deque from the ``[p, j)`` window
-    so the scalar path (a fallback ``advance``, or anything after the
-    kernel returns) sees exactly the state its own loop would have
-    left.
+    so a fallback ``advance`` sees exactly the state the scalar loop
+    would have left.  A finished core's deque is left empty instead:
+    nothing reads it again (``step``, ``advance`` and the peek refuse a
+    finished core, ``result`` reads ``_last_done``), and building it
+    would cost a tuple per pair at the end of every run.
     """
     core = state[23]
     (j, barrier, retire_max, last_done, tick1, hits1, misses1,
@@ -244,10 +259,6 @@ def _flush_core(state: list) -> None:
     n_ops = state[16]
     core._retire_op = j if j < n_ops else n_ops - 1
     core._retire_max = retire_max
-    if j:
-        done_max = max(state[6][:j])
-        if done_max > last_done:
-            last_done = done_max
     core._last_done = last_done
     l1 = core.l1
     l1._tick = tick1
@@ -259,7 +270,11 @@ def _flush_core(state: list) -> None:
     mshr.stall_events = stall1
     out = core._outstanding
     out.clear()
-    out.extend(zip(state[3][p:j].tolist(), state[6][p:j]))
+    if j < n_ops:
+        dones = state[6]
+        mask = len(dones) - 1
+        out.extend(zip(state[3][p:j].tolist(),
+                       [dones[i & mask] for i in range(p, j)]))
 
 
 class _HierState:
@@ -377,7 +392,9 @@ def run_epoch_kernel(cores: "list[CoreModel]",
                 heappush(heap, (nxt, cid))
 
     On return every core is drained (``core.done``) and every model
-    object holds exactly the state the scalar loop would have left.
+    object holds exactly the state the scalar loop would have left,
+    except that each core's ROB deque, which nothing reads after the
+    core's last op, is empty.
     The caller, :meth:`repro.sim.cmp.CMPSimulator.run`, pauses the
     collector for the whole run, this drain included.
     """
@@ -462,6 +479,7 @@ def run_epoch_kernel(cores: "list[CoreModel]",
          j, barrier, retire_max, last_done, tick1, hits1, misses1,
          prim1, sec1, stall1, p) = S
         cbit = 1 << cid
+        dmask = len(dones) - 1
         nf1 = heap1[0][0] if heap1 else inf
 
         while True:
@@ -496,7 +514,8 @@ def run_epoch_kernel(cores: "list[CoreModel]",
                     # set_dirty on the (possibly evicted) filled line.
                     row = tags1[s1]
                     if tg in row:
-                        dirty1[s1][row.index(tg)] = True
+                        dirty1[s1] = (dirty1.get(s1, 0)
+                                      | 1 << row.index(tg))
                 floor = issue + hit_lat
                 done = fill if fill >= floor else floor
                 starts[j] = issue
@@ -522,7 +541,7 @@ def run_epoch_kernel(cores: "list[CoreModel]",
                         lru1[s1][way] = tick1
                         hits1 += 1
                         if w:
-                            dirty1[s1][way] = True
+                            dirty1[s1] = dirty1.get(s1, 0) | 1 << way
                             if coherent:
                                 # Contention-free ownership grab
                                 # (hierarchy.upgrade, zero extra).
@@ -546,9 +565,13 @@ def run_epoch_kernel(cores: "list[CoreModel]",
                         misses1 += 1
                         lru_row = lru1[s1]
                         victim = lru_row.index(min(lru_row))
-                        dirty_row = dirty1[s1]
                         vt = row[victim]
-                        if dirty_row[victim] and vt >= 0:
+                        # The victim way's dirty bit becomes ``w``.
+                        dm = dirty1.get(s1, 0)
+                        was = dm >> victim & 1
+                        if was != w:
+                            dirty1[s1] = dm ^ 1 << victim
+                        if was and vt >= 0:
                             # Dirty victim drains through the hierarchy
                             # (rare: only write workloads mint dirty
                             # lines).  Live-object counter — see the
@@ -559,7 +582,6 @@ def run_epoch_kernel(cores: "list[CoreModel]",
                             wb_line = -1
                         row[victim] = tg
                         lru_row[victim] = tick1
-                        dirty_row[victim] = w
                         if wb_line >= 0:
                             # hierarchy.writeback, inlined: NoC hop,
                             # L2 bank queue, write-allocate fill at the
@@ -583,15 +605,19 @@ def run_epoch_kernel(cores: "list[CoreModel]",
                             if wtg in wrow:
                                 wway = wrow.index(wtg)
                                 lru2[whome][ws2][wway] = wt
-                                dirty2[whome][ws2][wway] = True
+                                wdm = dirty2[whome]
+                                wdm[ws2] = wdm.get(ws2, 0) | 1 << wway
                                 hits2[whome] += 1
                             else:
                                 misses2[whome] += 1
                                 wlr = lru2[whome][ws2]
                                 wv = wlr.index(min(wlr))
-                                wdr = dirty2[whome][ws2]
                                 wvt = wrow[wv]
-                                if wdr[wv] and wvt >= 0:
+                                # The filled way is dirty: write-allocate.
+                                wdm = dirty2[whome]
+                                wmask = wdm.get(ws2, 0)
+                                wdm[ws2] = wmask | 1 << wv
+                                if wmask >> wv & 1 and wvt >= 0:
                                     wb2[whome] += 1
                                     va = (wvt * sets2 + ws2) * lb2
                                     vb = ((va // dram_row_bytes)
@@ -622,7 +648,6 @@ def run_epoch_kernel(cores: "list[CoreModel]",
                                     dwr += 1
                                 wrow[wv] = wtg
                                 wlr[wv] = wt
-                                wdr[wv] = True
                             sharers_pop(wline, None)
                         base = issue + hit_lat
                         if len(pending) < capacity1:
@@ -696,9 +721,14 @@ def run_epoch_kernel(cores: "list[CoreModel]",
                                 misses2[home] += 1
                                 lr2 = lru2[home][s2]
                                 v2 = lr2.index(min(lr2))
-                                d2row = dirty2[home][s2]
                                 vt2 = row2[v2]
-                                if d2row[v2] and vt2 >= 0:
+                                # The filled way is clean.
+                                d2 = dirty2[home]
+                                d2m = d2.get(s2, 0)
+                                was2 = d2m >> v2 & 1
+                                if was2:
+                                    d2[s2] = d2m ^ 1 << v2
+                                if was2 and vt2 >= 0:
                                     wb2[home] += 1
                                     # Dirty L2 victim drains to DRAM.
                                     va = (vt2 * sets2 + s2) * lb2
@@ -729,7 +759,6 @@ def run_epoch_kernel(cores: "list[CoreModel]",
                                     dwr += 1
                                 row2[v2] = tg2
                                 lr2[v2] = t2
-                                d2row[v2] = False
                                 base2 = start + hl2
                                 if len(m2p) < cap2:
                                     alloc2 = base2
@@ -859,7 +888,9 @@ def run_epoch_kernel(cores: "list[CoreModel]",
                     hpush(heap, (t, cid))
                     break
             # ===== commit bookkeeping + next-op issue bound ==========
-            dones[j] = done
+            dones[j & dmask] = done
+            if done > last_done:
+                last_done = done
             j += 1
             if j >= n_ops:
                 break
@@ -872,10 +903,10 @@ def run_epoch_kernel(cores: "list[CoreModel]",
             # the issue bound exactly as the deque drain would.
             q = pmax[j]
             if p < q:
-                committed = dones[p]
+                committed = dones[p & dmask]
                 p += 1
                 while p < q:
-                    d = dones[p]
+                    d = dones[p & dmask]
                     if d > committed:
                         committed = d
                     p += 1
