@@ -2,12 +2,10 @@
 
 The per-file rules of :mod:`repro.analysis.rules` see one AST at a time,
 but the invariants PRs 7–8 introduced are *interprocedural*: whether a
-function runs inside a pool worker depends on who submits it, whether
-the epoch kernel stays pure depends on everything reachable from
-``CoreModel.advance``, and whether a cache-store write honors
-single-writer shard ownership depends on how its store view was scoped
-three frames up.  This package supplies the shared machinery the
-``C2L2xx`` concurrency rules are built on:
+function runs inside a pool worker depends on who submits it, and
+whether the epoch kernel stays pure depends on everything reachable
+from ``CoreModel.advance``.  This package supplies the shared machinery
+the ``C2L2xx`` concurrency rules are built on:
 
 - :mod:`repro.analysis.flow.callgraph` — a module-aware function/class
   index with alias-, re-export- and annotation-aware name resolution
@@ -15,11 +13,11 @@ three frames up.  This package supplies the shared machinery the
   assignment in ``__init__``);
 - :mod:`repro.analysis.flow.summaries` — one effect summary per
   function: module-global reads/writes, I/O, tracing spans, lock use,
-  pool submissions, store-scoping calls, resolved call sites;
+  pool submissions, resolved call sites;
 - :mod:`repro.analysis.flow.dataflow` — the fixpoint layer: call-graph
   edges, reachability closures, the *crosses-process-boundary* and
   *hot-path* taints, and transitive effect queries, cached per
-  :class:`~repro.analysis.source.Project` so the four rules pay for one
+  :class:`~repro.analysis.source.Project` so the three rules pay for one
   analysis between them.
 """
 

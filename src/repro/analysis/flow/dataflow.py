@@ -15,12 +15,11 @@ closes two taints over the resolved edges:
 
 Because edge construction is under-approximate (unresolvable calls add
 no edge), both taints are too — rules built on them favor missed
-findings over false positives, and the runtime sanitizer
-(:mod:`repro.analysis.sanitizer`) exists to cover the dynamic remainder.
+findings over false positives.
 
 The analysis is cached on the :class:`~repro.analysis.source.Project`
-instance via :func:`get_flow`, so the four C2L2xx rules pay for one
-pass between them.
+instance via :func:`get_flow`, so the three flow-based C2L2xx rules pay
+for one pass between them.
 """
 
 from __future__ import annotations
@@ -65,12 +64,6 @@ class FlowAnalysis:
             for qual, summary in self.summaries.items()
             for site in summary.submits
         ]
-        #: functions called while building submit payloads (parent side)
-        self.builders: "set[str]" = {
-            builder
-            for _, site in self.submit_sites
-            for builder in site.builder_quals
-        }
         self.hot_roots: "list[str]" = [
             qual for qual in self.summaries
             if self.is_hot_root(qual)

@@ -2,10 +2,10 @@
 
 One scan pass per function produces a :class:`FunctionSummary`: which
 module globals it writes, what I/O, tracing spans and locks it touches,
-where it submits work to a pool, how it scopes or assigns cache stores,
-and — the call-graph edges — which project functions it calls, resolved
-through a small local type environment (parameter annotations, ``self``,
-and ``x = self.attr`` / ``x = Cls(...)`` local bindings).
+where it submits work to a pool, and — the call-graph edges — which
+project functions it calls, resolved through a small local type
+environment (parameter annotations, ``self``, and ``x = self.attr`` /
+``x = Cls(...)`` local bindings).
 
 Everything carries the originating AST node so rules can point
 diagnostics at the exact line, and so branch-local checks (C2L204's
@@ -52,9 +52,6 @@ class SubmitSite:
     #: resolved qual of the submitted callable, when the first argument
     #: is a project function
     callee_qual: "str | None" = None
-    #: project functions *called while building* the submit arguments —
-    #: they run on the parent side but produce what ships to the worker
-    builder_quals: "list[str]" = field(default_factory=list)
     lambda_args: "list[ast.Lambda]" = field(default_factory=list)
     #: (node, rendered name) — args like ``self.evaluate``
     bound_method_args: "list[tuple[ast.expr, str]]" = \
@@ -78,12 +75,6 @@ class FunctionSummary:
     #: (description, node) — lock construction/acquisition
     lock_uses: "list[tuple[str, ast.AST]]" = field(default_factory=list)
     submits: "list[SubmitSite]" = field(default_factory=list)
-    #: ``.scoped(...)`` call nodes on any receiver
-    scoped_calls: "list[ast.Call]" = field(default_factory=list)
-    #: ``<expr>.cache = <value>`` assignments
-    cache_assigns: "list[ast.Assign]" = field(default_factory=list)
-    #: (method name, node) for ``.put(...)`` / ``.flush(...)`` attr calls
-    store_calls: "list[tuple[str, ast.Call]]" = field(default_factory=list)
     #: resolved call edges: (callee qual, call node)
     calls: "list[tuple[str, ast.Call]]" = field(default_factory=list)
     #: dotted names the resolver could not attribute
@@ -92,10 +83,6 @@ class FunctionSummary:
     @property
     def callees(self) -> "set[str]":
         return {qual for qual, _ in self.calls}
-
-
-def _scoped_has_owned_shards(call: ast.Call) -> bool:
-    return any(kw.arg == "owned_shards" for kw in call.keywords)
 
 
 class _FunctionScanner(ast.NodeVisitor):
@@ -238,9 +225,6 @@ class _FunctionScanner(ast.NodeVisitor):
                     self.env[name] = cls
                 else:
                     self.env.pop(name, None)
-        if any(isinstance(t, ast.Attribute) and t.attr == "cache"
-               for t in node.targets):
-            self.summary.cache_assigns.append(node)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
@@ -315,10 +299,6 @@ class _FunctionScanner(ast.NodeVisitor):
                 self.summary.span_calls.append(node)
             elif method == "acquire":
                 self.summary.lock_uses.append((".acquire()", node))
-            elif method == "scoped":
-                self.summary.scoped_calls.append(node)
-            elif method in ("put", "flush"):
-                self.summary.store_calls.append((method, node))
             elif (method in _IO_ATTR_METHODS and canonical is None
                     and self._expr_class(func.value) is None):
                 self.summary.io_calls.append((f".{method}()", node))
@@ -344,16 +324,10 @@ class _FunctionScanner(ast.NodeVisitor):
         if node.args:
             site.callee_qual = self._resolve_callable_ref(node.args[0])
         payload = args[1:] if site.callee_qual is not None else args
-        for index, arg in enumerate(args):
-            is_payload = arg in payload
-            for sub in ast.walk(arg):
-                if isinstance(sub, ast.Lambda):
-                    site.lambda_args.append(sub)
-                elif isinstance(sub, ast.Call) and is_payload:
-                    builder = self._resolve_call(sub)
-                    if builder is not None:
-                        site.builder_quals.append(builder)
-            if not is_payload:
+        for arg in args:
+            site.lambda_args.extend(sub for sub in ast.walk(arg)
+                                    if isinstance(sub, ast.Lambda))
+            if arg not in payload:
                 continue
             bound = self._bound_method_name(arg)
             if bound is not None:

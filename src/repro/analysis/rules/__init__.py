@@ -19,7 +19,6 @@ from repro.analysis.rules.concurrency import (
     BoundaryEscapeRule,
     FrontTierHitRule,
     HotPathPurityRule,
-    SingleWriterRule,
 )
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.hygiene import (
@@ -38,8 +37,7 @@ __all__ = ["Rule", "DEFAULT_RULES", "make_rules", "rule_catalog",
            "DeterminismRule", "CacheKeyRule", "MetricsCatalogRule",
            "PicklabilityRule", "TraceGuardRule", "BareExceptRule",
            "MutableDefaultRule", "ExportsRule", "EagerPackageImportRule",
-           "ResilienceRule",
-           "SingleWriterRule", "BoundaryEscapeRule", "HotPathPurityRule",
+           "ResilienceRule", "BoundaryEscapeRule", "HotPathPurityRule",
            "FrontTierHitRule", "AsyncBlockingRule"]
 
 DEFAULT_RULES: "tuple[Type[Rule], ...]" = (
@@ -53,7 +51,6 @@ DEFAULT_RULES: "tuple[Type[Rule], ...]" = (
     ExportsRule,
     EagerPackageImportRule,
     ResilienceRule,
-    SingleWriterRule,
     BoundaryEscapeRule,
     HotPathPurityRule,
     FrontTierHitRule,

@@ -4,12 +4,6 @@ These rules machine-check the invariants PRs 7–8 introduced and are
 built on :mod:`repro.analysis.flow` (they run only under
 ``c2bound lint --flow``, or when selected explicitly):
 
-- **C2L201 single-writer discipline** — in any module that both handles
-  a ``SimCacheStore`` and submits work to a process pool, store views
-  shipped to workers must be scoped with ``owned_shards=``, and
-  worker-side code must not call ``.put()``/``.flush()`` on a store
-  directly (the write-behind buffer and the reconciling parent are the
-  only legal write paths).
 - **C2L202 cross-boundary escape** — nothing that drags parent-process
   state may cross a pool boundary: no lambdas, no bound methods, no
   mutable module globals in submit arguments, and code that executes in
@@ -37,31 +31,12 @@ from repro.analysis.flow.summaries import FunctionSummary
 from repro.analysis.rules.base import Rule
 from repro.analysis.source import Project, dotted_name
 
-__all__ = ["SingleWriterRule", "BoundaryEscapeRule", "HotPathPurityRule",
-           "FrontTierHitRule"]
+__all__ = ["BoundaryEscapeRule", "HotPathPurityRule", "FrontTierHitRule"]
 
-_STORE_CLASS = "SimCacheStore"
 #: function-name prefixes allowed to lazily initialize a private module
 #: global (the ``get_tracer()``-style singleton idiom)
 _SINGLETON_PREFIXES = ("get_", "set_", "configure_", "enable_",
                       "disable_", "reset_", "install_")
-
-
-def _module_handles_store(flow: FlowAnalysis, module: str) -> bool:
-    """Module imports or defines a ``SimCacheStore``(-named) class."""
-    mod = flow.graph.modules.get(module)
-    if mod is None:
-        return False
-    for origin in mod.imports.values():
-        if origin.rsplit(".", 1)[-1] == _STORE_CLASS:
-            return True
-    return f"{module}.{_STORE_CLASS}" in flow.graph.classes
-
-
-def _functions_of_module(flow: FlowAnalysis,
-                         module: str) -> "list[str]":
-    return [qual for qual, info in flow.graph.functions.items()
-            if info.module == module]
 
 
 class _FlowRule(Rule):
@@ -71,66 +46,6 @@ class _FlowRule(Rule):
 
     def _source_rel(self, flow: FlowAnalysis, qual: str) -> str:
         return flow.graph.functions[qual].source.rel
-
-
-class SingleWriterRule(_FlowRule):
-    """C2L201: shard ownership on every worker-bound store view."""
-
-    code = "C2L201"
-    name = "single-writer"
-    severity = Severity.ERROR
-    description = ("store views shipped to pool workers must be scoped "
-                   "with owned_shards=, and worker code must not call "
-                   ".put()/.flush() directly")
-
-    def check_project(self, project: Project) -> "Iterable[Diagnostic]":
-        flow = get_flow(project)
-        out: "list[Diagnostic]" = []
-        submit_modules = {flow.graph.functions[qual].module
-                          for qual, _ in flow.submit_sites}
-        scoped_modules = {m for m in submit_modules
-                          if _module_handles_store(flow, m)}
-        submitters = {qual for qual, _ in flow.submit_sites}
-        parent_side = submitters | flow.builders
-        for module in sorted(scoped_modules):
-            for qual in _functions_of_module(flow, module):
-                summary = flow.summaries[qual]
-                rel = self._source_rel(flow, qual)
-                if qual in parent_side:
-                    out.extend(self._check_parent_side(summary, rel))
-                if qual in flow.boundary_from:
-                    for method, node in summary.store_calls:
-                        out.append(self.diag(
-                            rel, node,
-                            f"direct .{method}() in pool-worker code "
-                            f"({qual} runs inside a worker via "
-                            f"{flow.boundary_from[qual]}); route writes "
-                            f"through the scoped write-behind buffer or "
-                            f"the reconciling parent"))
-        return out
-
-    def _check_parent_side(self, summary: FunctionSummary,
-                           rel: str) -> "Iterable[Diagnostic]":
-        for call in summary.scoped_calls:
-            if not any(kw.arg == "owned_shards" for kw in call.keywords):
-                yield self.diag(
-                    rel, call,
-                    f".scoped() without owned_shards= in {summary.qual}; "
-                    f"a worker-bound store view must own an explicit "
-                    f"shard set or every slot becomes a writer")
-        for assign in summary.cache_assigns:
-            value = assign.value
-            ok = (isinstance(value, ast.Call)
-                  and isinstance(value.func, ast.Attribute)
-                  and value.func.attr == "scoped"
-                  and any(kw.arg == "owned_shards"
-                          for kw in value.keywords))
-            if not ok:
-                yield self.diag(
-                    rel, assign,
-                    f"cache assigned without owned_shards scoping in "
-                    f"{summary.qual}; worker-bound evaluators must get "
-                    f"a .scoped(owned_shards=...) store view")
 
 
 class BoundaryEscapeRule(_FlowRule):

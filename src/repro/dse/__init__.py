@@ -18,7 +18,7 @@
 - :mod:`repro.dse.batch` — batch slicing and the batch size every
   search method rides on; contract in ``docs/DSE_PERFORMANCE.md``.
 - :mod:`repro.dse.fabric` — the process pool: the sharded work-stealing
-  sweep fabric, with deterministic shard ownership over the simulation
+  sweep fabric, with work routed deterministically by the simulation
   store's hash ranges, idle-worker stealing for stragglers, crash and
   timeout recovery, and bit-identical results under any steal schedule.
 """

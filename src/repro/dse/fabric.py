@@ -3,8 +3,8 @@
 A fixed carving of a batch into ordered chunks lets one slow chunk
 serialize the tail of a sweep — the exact straggler pathology the
 paper's own concurrency-over-capacity lens (C-AMAT) warns about in
-memory systems.  :class:`FabricEvaluator` schedules by *ownership plus
-stealing* instead:
+memory systems.  :class:`FabricEvaluator` schedules by *shard routing
+plus stealing* instead:
 
 1. **Key once, evaluate each key once** — the parent keys the whole
    batch in one pass (:func:`config_keys`).  When the inner evaluator
@@ -15,18 +15,18 @@ stealing* instead:
    each key is dispatched, and its cost is copied to every duplicate
    index (a simulated sweep over ``a0``, which the simulator ignores,
    asks for each chip many times).
-2. **Deterministic sharding** — every key names one of the
+2. **Deterministic routing** — every key names one of the
    :data:`~repro.sim.cache_store.SHARD_COUNT` shards
-   (:func:`~repro.sim.cache_store.shard_of_key`).  On the simulator path
-   that is the *store's own* hash prefix, so fabric ownership coincides
-   with disk-shard ownership: each worker slot owns a contiguous shard
-   range (:func:`owner_of_shard`) and is the only writer of those shard
-   directories — single-writer by construction, no cross-process locks.
+   (:func:`~repro.sim.cache_store.shard_of_key`; on the simulator path
+   the *store's own* hash prefix), and each worker slot's backlog starts
+   as a contiguous shard range (:func:`owner_of_shard`).  Routing is
+   scheduling only: it places work and re-queues lost units; it is not
+   a write permission.
 3. **Work-stealing** — each slot drains its own backlog in input order;
    an idle slot steals the *tail half* of the largest remaining backlog
    (``dse.fabric.steals`` counter, ``dse.fabric.steal`` trace events),
    so a straggler shard is finished by everyone instead of serializing
-   the sweep.  ``steal=False`` is the fixed-ownership case: each slot
+   the sweep.  ``steal=False`` is the fixed-routing case: each slot
    only ever drains its own shard range.
 4. **Ordered reassembly** — results land by original batch index, so
    costs are bit-identical for any steal schedule, worker count, or
@@ -35,13 +35,13 @@ stealing* instead:
    ``scripts/fabric_equivalence_check.py`` prove workers=1 ≡ workers=N ≡
    forced-steal ≡ kill-and-resume.
 
-Tiered-cache integration: each slot receives the inner evaluator with
-its store re-scoped (:meth:`~repro.sim.cache_store.SimCacheStore.scoped`)
-to ``owned_shards`` of that slot plus write-behind buffering, and the
-worker task flushes the buffer before returning.  Results a thief
-computed for shards it does not own are persisted by the *parent* after
-reassembly (``dse.fabric.reconciled``) — the parent is owner of last
-resort, still a single writer per entry at a time.
+Tiered-cache integration: workers receive the inner evaluator with its
+store re-scoped (:meth:`~repro.sim.cache_store.SimCacheStore.scoped`)
+to a write-behind buffer, and each task flushes the buffer before
+returning, so whichever worker simulates a key persists it.  Entries
+are content-addressed and written by temp file plus ``os.replace``, so
+concurrent writers of one key need no coordination, and a warm pass
+writes nothing.
 
 Fault tolerance: a unit lost to a dead worker, a missed
 ``chunk_timeout`` or a pickled-back :class:`~repro.errors.TransientError`
@@ -82,7 +82,7 @@ from repro.resilience.policy import Deadline, RetryPolicy, retry_call
 from repro.sim.cache_store import SHARD_COUNT, SimCacheStore, shard_of_key
 
 __all__ = ["FabricEvaluator", "config_keys", "config_shard",
-           "make_pool_evaluator", "owner_of_shard", "owned_shards_of"]
+           "make_pool_evaluator", "owner_of_shard"]
 
 
 def config_keys(evaluator, configs: Sequence[dict]) -> "list[str]":
@@ -91,7 +91,7 @@ def config_keys(evaluator, configs: Sequence[dict]) -> "list[str]":
 
     Prefers the evaluator's own keys — a batch ``cache_keys_for``, else
     a per-configuration ``cache_key_for`` (the simulator path) — so
-    fabric ownership and disk-shard ownership agree.  Evaluators
+    fabric routing follows the disk shards.  Evaluators
     without either fall back to a SHA-256 of the canonical
     configuration: just as deterministic, merely unrelated to any
     on-disk layout.  Either way equal keys mean equal costs, which is
@@ -115,19 +115,13 @@ def config_shard(evaluator, config: dict) -> int:
 
 
 def owner_of_shard(shard: int, workers: int) -> int:
-    """The worker slot owning a shard: contiguous ranges, load-balanced.
+    """The worker slot a shard's work is routed to: contiguous ranges,
+    load-balanced.
 
-    Slot ``w`` owns shards ``[ceil(w*S/W), ceil((w+1)*S/W))`` — every
-    shard has exactly one owner for any worker count.
+    Slot ``w`` gets shards ``[ceil(w*S/W), ceil((w+1)*S/W))`` — every
+    shard has exactly one slot for any worker count.
     """
     return shard * workers // SHARD_COUNT
-
-
-def owned_shards_of(slot: int, workers: int) -> "frozenset[int]":
-    """The shard range a worker slot owns (inverse of
-    :func:`owner_of_shard`)."""
-    return frozenset(s for s in range(SHARD_COUNT)
-                     if owner_of_shard(s, workers) == slot)
 
 
 def _evaluate_unit(evaluator,
@@ -135,8 +129,8 @@ def _evaluate_unit(evaluator,
     """Worker-side unit of work: scalar-evaluate in order, then flush.
 
     Module-level so the pool can pickle it.  The trailing flush matters:
-    slot evaluators carry a write-behind store whose buffer would die
-    with the task otherwise.
+    the worker evaluator carries a write-behind store whose buffer would
+    die with the task otherwise.
 
     Returns ``(costs, t_start, exec_s)``: ``t_start`` is the worker's
     ``perf_counter`` reading when it picked the task up and ``exec_s``
@@ -163,8 +157,23 @@ def make_pool_evaluator(inner, *, workers: int = 1,
     return FabricEvaluator(inner, workers=workers, **kwargs)
 
 
+def _worker_evaluator(inner, write_behind: int):
+    """The inner evaluator as shipped to the workers.
+
+    When it carries a :class:`~repro.sim.cache_store.SimCacheStore`, the
+    workers get a shallow copy whose store is scoped to a write-behind
+    buffer; other evaluators ship as-is.
+    """
+    store = getattr(inner, "cache", None)
+    if not isinstance(store, SimCacheStore):
+        return inner
+    evaluator = copy.copy(inner)
+    evaluator.cache = store.scoped(write_behind=write_behind)
+    return evaluator
+
+
 class FabricEvaluator:
-    """Shard-owned, work-stealing process-pool evaluator.
+    """Shard-routed, work-stealing process-pool evaluator.
 
     Parameters
     ----------
@@ -177,7 +186,7 @@ class FabricEvaluator:
     steal:
         Enable work-stealing (default).  Disabled, each slot only ever
         drains its own shard range — stragglers serialize again, which
-        is exactly the fixed-ownership leg the equivalence suite
+        is exactly the fixed-routing leg the equivalence suite
         compares.
     unit_size:
         Configurations per pool task.  ``None`` picks
@@ -185,8 +194,8 @@ class FabricEvaluator:
         meaningful.  ``1`` forces maximal stealing (the differential
         suite's adversarial leg).
     write_behind:
-        Write-behind buffer size handed to each slot's scoped store
-        (``0`` restores write-through in the workers).
+        Write-behind buffer size of the workers' scoped store (``0``
+        restores write-through in the workers).
     retry_policy:
         Governs unit resubmission after worker crashes / timeouts /
         transient errors (default
@@ -238,11 +247,10 @@ class FabricEvaluator:
         self.deadline = deadline
         self._sleep = sleep
         self._pool: "ProcessPoolExecutor | None" = None
-        self._slot_evaluators: dict = {}
+        self._worker = _worker_evaluator(inner, self.write_behind)
         registry = get_registry()
         self._ctr_steals = registry.counter("dse.fabric.steals")
         self._ctr_units = registry.counter("dse.fabric.units")
-        self._ctr_reconciled = registry.counter("dse.fabric.reconciled")
         self._ctr_timeouts = registry.counter("resilience.chunk_timeouts")
         self._ctr_crashes = registry.counter("resilience.worker_crashes")
         self._ctr_rebuilds = registry.counter("resilience.pool_rebuilds")
@@ -325,7 +333,6 @@ class FabricEvaluator:
             backlogs[owner_of_shard(shard, self.workers)].append(i)
         attempts = [0] * n
         serial_queue: "list[int]" = []
-        executed: "list[tuple[int, list[int]]]" = []
         lost: "list[tuple[int, list[int]]]" = []
         free = set(range(self.workers))
         inflight: dict = {}
@@ -350,7 +357,6 @@ class FabricEvaluator:
                 return False
             for i, cost in zip(indices, costs):
                 out[i] = cost
-            executed.append((slot, indices))
             self._record_unit_timing(slot, len(indices), t_submit,
                                      t_done.get(fut), t_start, exec_s)
             return False
@@ -363,7 +369,7 @@ class FabricEvaluator:
                 if not indices:
                     continue
                 t_submit = time.perf_counter()
-                fut = pool.submit(_evaluate_unit, self._slot_evaluator(slot),
+                fut = pool.submit(_evaluate_unit, self._worker,
                                   [configs[i] for i in indices])
                 fut.add_done_callback(
                     lambda f: t_done.setdefault(f, time.perf_counter()))
@@ -407,7 +413,6 @@ class FabricEvaluator:
                                        what="serial fallback")
             for i, cost in zip(order, costs):
                 out[i] = cost
-        self._reconcile(keys, shards, executed, out)
         return out
 
     def _wait_s(self, inflight: dict) -> "float | None":
@@ -492,60 +497,6 @@ class FabricEvaluator:
                              moved=move)
         take = min(unit, len(own))
         return [own.popleft() for _ in range(take)]
-
-    def _slot_evaluator(self, slot: int):
-        """The inner evaluator as shipped to one worker slot.
-
-        When the inner evaluator carries a
-        :class:`~repro.sim.cache_store.SimCacheStore`, the slot gets a
-        shallow copy whose store is scoped to the slot's owned shards
-        with write-behind buffering — the tiered cache's single-writer
-        discipline.  Other evaluators ship as-is.
-        """
-        cached = self._slot_evaluators.get(slot)
-        if cached is not None:
-            return cached
-        evaluator = self.inner
-        store = getattr(evaluator, "cache", None)
-        if isinstance(store, SimCacheStore):
-            evaluator = copy.copy(evaluator)
-            evaluator.cache = store.scoped(
-                owned_shards=owned_shards_of(slot, self.workers),
-                write_behind=self.write_behind)
-            # tag the view with its slot so a sanitizer finding
-            # (C2BOUND_SANITIZE=1) names the offending worker
-            evaluator.cache.sanitize_slot = slot
-        self._slot_evaluators[slot] = evaluator
-        return evaluator
-
-    def _reconcile(self, keys: "list[str]", shards: "list[int]",
-                   executed: "list[tuple[int, list[int]]]",
-                   out: np.ndarray) -> None:
-        """Persist stolen-work results the executing slot could not.
-
-        A thief's scoped store refuses disk writes outside its owned
-        shards (``sim.cache.shard_denied``), so the cost came back to
-        the parent unpersisted.  The parent puts it here under the key
-        it already computed — once per distinct key, after reassembly,
-        off every worker's critical path — as the owner of last resort
-        (atomic + idempotent, so a concurrent future owner write is
-        harmless).
-        """
-        store = getattr(self.inner, "cache", None)
-        if (not isinstance(store, SimCacheStore)
-                or getattr(self.inner, "cache_key_for", None) is None):
-            return
-        provenance_hook = getattr(self.inner, "cache_provenance", None)
-        provenance = provenance_hook() if provenance_hook is not None else {}
-        reconciled = 0
-        for slot, indices in executed:
-            owned = owned_shards_of(slot, self.workers)
-            for i in indices:
-                if shards[i] not in owned and np.isfinite(out[i]):
-                    store.put(keys[i], float(out[i]), **provenance)
-                    reconciled += 1
-        if reconciled:
-            self._ctr_reconciled.inc(reconciled)
 
     def _record_unit_timing(self, slot: int, size: int, t_submit: float,
                             t_done: "float | None", t_start: float,

@@ -1,7 +1,6 @@
 """Append-only JSONL logs: the one reader and writer of the format.
 
-Checkpoint journals, the job registry, traces and sanitizer findings
-share one crash rule, set out in ``docs/ROBUSTNESS.md`` ("Append-only
+Checkpoint journals, the job registry and traces share one crash rule, set out in ``docs/ROBUSTNESS.md`` ("Append-only
 logs"): only the final line can be torn, and it is dropped; a corrupt
 complete line is refused; a header log with no complete line is a
 torn, empty log; resume heals by truncating to the last newline.

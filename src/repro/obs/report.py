@@ -64,9 +64,10 @@ VOLATILE_METRIC_PREFIXES = ("resilience.", "sim.cache.", "obs.stream.",
 #: Manifest ``config`` keys that describe the *invocation*, not the
 #: computation: output/trace/checkpoint locations, the resume flag, and
 #: the execution settings contracted to change wall time only (batch
-#: size, result cache, sanitizer).  A resumed twin legitimately differs
-#: in all of them.  The epoch-kernel switch is no longer a setting, but
-#: manifests written while it was one still carry its key.
+#: size, result cache).  A resumed twin legitimately differs in all of
+#: them.  The last three keys name retired settings (the epoch-kernel
+#: switch and the shard-write checker and its log); manifests written
+#: while they were settings still carry them.
 VOLATILE_CONFIG_KEYS = ("out", "trace", "checkpoint", "resume",
                         "batch_size", "sim_cache", "sim_kernel",
                         "sanitize", "sanitize_log")

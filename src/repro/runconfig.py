@@ -10,9 +10,7 @@ computes — lives in one :class:`RunConfig`:
   (one file per search method), whether existing journals are restored,
   and the id stamped into the journals this run creates;
 - ``sim_cache``: the live :class:`~repro.sim.cache_store.SimCacheStore`
-  behind ``cache="default"``, or ``None``;
-- ``sanitize`` / ``sanitize_log``: the runtime shard sanitizer and its
-  findings log (:mod:`repro.analysis.sanitizer`).
+  behind ``cache="default"``, or ``None``.
 
 The process holds one config in a slot.  :func:`current` returns it,
 seeding it on first use from the environment (:meth:`RunConfig.from_env`
@@ -31,7 +29,7 @@ spawned one seeds its own from the inherited environment.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -56,8 +54,6 @@ class RunConfig:
     resume: bool = False
     run_id: "str | None" = None
     sim_cache: "SimCacheStore | None" = None
-    sanitize: bool = False
-    sanitize_log: "str | None" = None
     journal_claims: "set[str]" = field(default_factory=set, init=False,
                                        repr=False, compare=False)
 
@@ -68,18 +64,13 @@ class RunConfig:
 
     @classmethod
     def from_env(cls) -> "RunConfig":
-        """The defaults, with the ``C2BOUND_*`` environment seeds applied:
-
-        - ``C2BOUND_SIM_CACHE=DIR`` opens a result cache at ``DIR``;
-        - ``C2BOUND_SANITIZE`` set to anything but empty or ``0`` arms
-          the sanitizer, which logs to ``C2BOUND_SANITIZE_LOG``.
-        """
-        config = cls(**_env_settings())
+        """The defaults, with the environment's one seed applied:
+        ``C2BOUND_SIM_CACHE=DIR`` opens a result cache at ``DIR``."""
         cache_root = os.environ.get("C2BOUND_SIM_CACHE")
-        if cache_root:
-            from repro.sim.cache_store import SimCacheStore
-            config = replace(config, sim_cache=SimCacheStore(cache_root))
-        return config
+        if not cache_root:
+            return cls()
+        from repro.sim.cache_store import SimCacheStore
+        return cls(sim_cache=SimCacheStore(cache_root))
 
     def manifest_config(self) -> dict:
         """The settings as JSON values, for a run manifest's ``config``
@@ -89,16 +80,7 @@ class RunConfig:
                                if self.checkpoint is not None else None),
                 "resume": self.resume,
                 "sim_cache": (str(self.sim_cache.root)
-                              if self.sim_cache is not None else None),
-                "sanitize": self.sanitize,
-                "sanitize_log": self.sanitize_log}
-
-
-def _env_settings() -> dict:
-    """The environment's settings other than the result cache."""
-    env = os.environ
-    return {"sanitize": env.get("C2BOUND_SANITIZE", "") not in ("", "0"),
-            "sanitize_log": env.get("C2BOUND_SANITIZE_LOG") or None}
+                              if self.sim_cache is not None else None)}
 
 
 _slot: "RunConfig | None" = None
@@ -108,10 +90,6 @@ def current() -> RunConfig:
     """The installed config, seeded from the environment on first use."""
     global _slot
     if _slot is None:
-        # Seed in two steps: a store arms its sanitizer from the
-        # installed config, so one must exist before from_env opens
-        # the environment's result cache.
-        _slot = RunConfig(**_env_settings())
         _slot = RunConfig.from_env()
     return _slot
 

@@ -16,11 +16,8 @@ Store layout (two-level fan-out keeps directories small)::
 The hex prefix is also the store's *shard* identity: keys are SHA-256
 hex digests, so the first :data:`SHARD_PREFIX_LEN` characters partition
 the key space into :data:`SHARD_COUNT` uniform shards
-(:func:`shard_of_key`).  The sweep fabric
-(:mod:`repro.dse.fabric`) assigns each worker a contiguous shard range
-and passes ``owned_shards`` so only the owner ever writes a shard's
-directory — single-writer by construction, no cross-process locking on
-any path.
+(:func:`shard_of_key`).  The sweep fabric (:mod:`repro.dse.fabric`)
+schedules work by shard; any process may write any entry.
 
 Tiers (hot to cold):
 
@@ -40,10 +37,11 @@ Guarantees:
   with ``float()``, which round-trips IEEE-754 doubles bit-for-bit, so a
   warm-cache run is bit-identical to a cold one;
 - **concurrency safety** — writes go to a temp file in the same
-  directory followed by :func:`os.replace` (atomic on POSIX), so the
-  process-pool workers of :class:`repro.dse.fabric.FabricEvaluator` can
-  share one store without locks (double writes of the same key are
-  idempotent by construction);
+  directory followed by :func:`os.replace` (atomic on POSIX), and equal
+  keys hold equal costs, so any number of processes (the workers of
+  :class:`repro.dse.fabric.FabricEvaluator`, concurrent sweeps) can
+  write one store without locks: a reader sees no entry or a whole one,
+  and a second write of a key replaces it with an equal cost;
 - **invalidation by versioning** — :data:`SIM_MODEL_VERSION` is folded
   into every key.  Any intentional change to simulator semantics must
   bump it (alongside regenerating ``tests/data/sim_golden.json``), which
@@ -68,7 +66,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis.sanitizer import check_shard_write
 from repro.errors import InvalidParameterError, ReproError
 from repro.obs import get_registry, get_tracer
 from repro.runconfig import current
@@ -224,14 +221,13 @@ def sim_cache_key(chip, workload, seed: int) -> str:
 #: rule pins the prefix <-> shard mapping to this literal.
 SHARD_PREFIX_LEN = 2
 
-#: Number of disk shards, ``16 ** SHARD_PREFIX_LEN``.  Shard identity is
-#: ownership currency for the sweep fabric: a worker owning shard ``s``
-#: is the only writer of the ``<root>/<s:02x>/`` directory.
+#: Number of disk shards, ``16 ** SHARD_PREFIX_LEN``; the sweep fabric
+#: routes work by shard.
 SHARD_COUNT = 256
 
 
 def shard_of_key(key: str) -> int:
-    """Shard index owning ``key``: the integer value of its hex prefix.
+    """Shard index of ``key``: the integer value of its hex prefix.
 
     The shard is *derived from the key*, never stored, so the mapping
     can only drift if :func:`sim_cache_keys` stops producing hex digests
@@ -322,16 +318,10 @@ class SimCacheStore:
         critical path.  A crash loses only buffered entries — costs, not
         correctness, since entries are recomputable and re-``put`` is
         idempotent.
-    owned_shards:
-        ``None`` (the default) writes any shard.  A set of shard indices
-        restricts *disk* writes to those shards: a ``put`` outside the
-        owned range updates the memory front only and is counted as
-        ``sim.cache.shard_denied``.  Reads are never restricted.
     """
 
     def __init__(self, root, *, memory_entries: int = 4096,
-                 write_behind: int = 0,
-                 owned_shards: "frozenset[int] | None" = None) -> None:
+                 write_behind: int = 0) -> None:
         if memory_entries < 1:
             raise InvalidParameterError(
                 f"memory_entries must be >= 1, got {memory_entries}")
@@ -341,21 +331,13 @@ class SimCacheStore:
         self.root = Path(root)
         self.memory_entries = memory_entries
         self.write_behind = int(write_behind)
-        self.owned_shards = (None if owned_shards is None
-                             else frozenset(int(s) for s in owned_shards))
         self._mem: OrderedDict[str, float] = OrderedDict()
         self._pending: "OrderedDict[str, tuple[float, dict]]" = OrderedDict()
         self.hits = 0
         self.front_hits = 0
         self.misses = 0
         self.corrupt = 0
-        self.denied = 0
         self.flushed = 0
-        #: worker-slot tag for sanitizer findings (set by the fabric)
-        self.sanitize_slot: "int | None" = None
-        # read once per store; the per-write cost of a disabled
-        # sanitizer is this cached boolean
-        self._sanitize = current().sanitize
         self._bind_counters()
         if self.write_behind:
             _register_store(self)
@@ -368,7 +350,6 @@ class SimCacheStore:
         self._ctr_stores = registry.counter("sim.cache.stores")
         self._ctr_evictions = registry.counter("sim.cache.evictions")
         self._ctr_corrupt = registry.counter("sim.cache.corrupt")
-        self._ctr_denied = registry.counter("sim.cache.shard_denied")
 
     # Pickling ships only the configuration (for process-pool workers);
     # each worker rebuilds its own LRU front and registry counters.
@@ -376,48 +357,31 @@ class SimCacheStore:
     # task returns, never pickled.
     def __getstate__(self) -> dict:
         return {"root": str(self.root), "memory_entries": self.memory_entries,
-                "write_behind": self.write_behind,
-                "owned_shards": (None if self.owned_shards is None
-                                 else sorted(self.owned_shards)),
-                "sanitize_slot": self.sanitize_slot}
+                "write_behind": self.write_behind}
 
     def __setstate__(self, state: dict) -> None:
         self.root = Path(state["root"])
         self.memory_entries = state["memory_entries"]
         self.write_behind = state.get("write_behind", 0)
-        owned = state.get("owned_shards")
-        self.owned_shards = None if owned is None else frozenset(owned)
         self._mem = OrderedDict()
         self._pending = OrderedDict()
         self.hits = 0
         self.front_hits = 0
         self.misses = 0
         self.corrupt = 0
-        self.denied = 0
         self.flushed = 0
-        self.sanitize_slot = state.get("sanitize_slot")
-        # re-read in the unpickling process: pool workers inherit the
-        # parent's run config (or the environment that seeds it), so
-        # arming the parent arms every worker-side clone
-        self._sanitize = current().sanitize
         self._bind_counters()
         if self.write_behind:
             _register_store(self)
 
-    def scoped(self, *, owned_shards: "frozenset[int] | None" = None,
-               write_behind: "int | None" = None) -> "SimCacheStore":
-        """A new view over the same root with different tier knobs.
+    def scoped(self, *, write_behind: int) -> "SimCacheStore":
+        """A new view over the same root with its own write-behind buffer.
 
-        The sweep fabric hands each worker slot
-        ``scoped(owned_shards=..., write_behind=...)`` so every slot
-        shares the disk tier but owns a disjoint writable shard range.
+        The sweep fabric ships its workers ``scoped(write_behind=...)``,
+        so worker misses reach the shared disk tier in batched flushes.
         """
-        return SimCacheStore(
-            self.root, memory_entries=self.memory_entries,
-            write_behind=(self.write_behind if write_behind is None
-                          else write_behind),
-            owned_shards=(self.owned_shards if owned_shards is None
-                          else owned_shards))
+        return SimCacheStore(self.root, memory_entries=self.memory_entries,
+                             write_behind=write_behind)
 
     def path_for(self, key: str) -> Path:
         """On-disk location of a key's entry (inside its shard dir)."""
@@ -512,16 +476,8 @@ class SimCacheStore:
         return cost
 
     def _persist(self, key: str, cost: float, provenance: dict) -> None:
-        """Atomic disk write of one entry (concurrent writers are safe).
-
-        This is the single choke point every disk write funnels through
-        (write-through ``put``, batched ``flush``), which is what makes
-        the sanitizer check here sufficient: the public ``put`` path
-        denies foreign shards *before* reaching this, so an armed check
-        that fires means ownership was bypassed for real.
-        """
-        if self._sanitize:
-            check_shard_write(self, key, shard_of_key(key))
+        """Atomic disk write of one entry (concurrent writers are safe):
+        a temp file in the shard directory, then :func:`os.replace`."""
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         entry = {"cost": repr(cost),
@@ -546,17 +502,8 @@ class SimCacheStore:
         Write-through by default (atomic persist under a
         ``sim.cache.store`` span).  With ``write_behind > 0`` the entry
         is buffered and reaches disk in the next batched :meth:`flush`.
-        A key outside ``owned_shards`` updates the memory front only
-        (``sim.cache.shard_denied``) — the shard's owner (or the fabric
-        parent reconciling stolen work) persists it instead.
         """
         cost = float(cost)
-        if (self.owned_shards is not None
-                and shard_of_key(key) not in self.owned_shards):
-            self._remember(key, cost)
-            self.denied += 1
-            self._ctr_denied.inc()
-            return
         if self.write_behind:
             self._pending[key] = (cost, dict(provenance))
             self._remember(key, cost)
@@ -602,8 +549,8 @@ class SimCacheStore:
 
         Disk-tier totals (``entries``/``bytes``/``shards_populated``)
         plus this instance's hit/miss split across the memory front
-        (``front_hits``) and disk (``disk_hits``), the write-behind
-        buffer state and the shard-ownership scope.
+        (``front_hits``) and disk (``disk_hits``) and the write-behind
+        buffer state.
         """
         entries = 0
         total_bytes = 0
@@ -632,9 +579,6 @@ class SimCacheStore:
                 "flushed": self.flushed,
                 "shards_populated": len(shard_dirs),
                 "shard_count": SHARD_COUNT,
-                "owned_shards": (-1 if self.owned_shards is None
-                                 else len(self.owned_shards)),
-                "shard_denied": self.denied,
                 "model_version": SIM_MODEL_VERSION}
 
     def clear(self) -> int:

@@ -20,94 +20,6 @@ def codes(result):
     return [d.code for d in result.diagnostics]
 
 
-# ---- C2L201: single-writer discipline ---------------------------------------
-
-STORE_MODULE = '''\
-class SimCacheStore:
-    def __init__(self):
-        self._mem = {}
-
-    def scoped(self, **kwargs):
-        return self
-
-    def put(self, key, cost):
-        self._mem[key] = cost
-
-    def flush(self):
-        return 0
-'''
-
-BAD_RUNNER = '''\
-from concurrent.futures import ProcessPoolExecutor
-
-from fab.store import SimCacheStore
-
-
-def _work(evaluator, items):
-    evaluator.cache.put("k", 1.0)
-    return items
-
-
-def _slot_view(evaluator):
-    evaluator.cache = evaluator.cache.scoped(write_behind=4)
-    return evaluator
-
-
-def run(pool, evaluator, items):
-    return pool.submit(_work, _slot_view(evaluator), items)
-'''
-
-GOOD_RUNNER = '''\
-from concurrent.futures import ProcessPoolExecutor
-
-from fab.store import SimCacheStore
-
-
-def _work(evaluator, items):
-    return [evaluator.run(c) for c in items]
-
-
-def _slot_view(evaluator):
-    evaluator.cache = evaluator.cache.scoped(
-        owned_shards=frozenset({0}), write_behind=4)
-    return evaluator
-
-
-def run(pool, evaluator, items):
-    return pool.submit(_work, _slot_view(evaluator), items)
-'''
-
-
-def test_c2l201_flags_unscoped_views_and_worker_writes(lint_tree):
-    result = lint_tree({"fab/__init__.py": "",
-                        "fab/store.py": STORE_MODULE,
-                        "fab/runner.py": BAD_RUNNER},
-                       rules=["C2L201"])
-    assert codes(result) == ["C2L201"] * 3
-    messages = " | ".join(d.message for d in result.diagnostics)
-    assert ".scoped() without owned_shards=" in messages
-    assert "cache assigned without owned_shards scoping" in messages
-    assert "direct .put() in pool-worker code" in messages
-    assert "_work runs inside a worker" in messages
-
-
-def test_c2l201_clean_on_scoped_views(lint_tree):
-    result = lint_tree({"fab/__init__.py": "",
-                        "fab/store.py": STORE_MODULE,
-                        "fab/runner.py": GOOD_RUNNER},
-                       rules=["C2L201"])
-    assert codes(result) == []
-
-
-def test_c2l201_ignores_modules_without_a_store(lint_tree):
-    # Same submit shape, but the module never touches a SimCacheStore:
-    # the rule's scope test must keep it out.
-    runner = BAD_RUNNER.replace("from fab.store import SimCacheStore\n", "")
-    result = lint_tree({"fab/__init__.py": "", "fab/runner.py": runner},
-                       rules=["C2L201"])
-    assert codes(result) == []
-
-
 # ---- C2L202: cross-boundary escape ------------------------------------------
 
 BAD_JOBS = '''\
@@ -361,17 +273,6 @@ def _mutated_lint(repo_root, rel_suffix, anchor, replacement):
 
 def _findings(result, code):
     return [d for d in result.diagnostics if d.code == code]
-
-
-def test_mutation_unscoped_slot_store_fires_c2l201(repo_root):
-    result = _mutated_lint(
-        repo_root, "repro/dse/fabric.py",
-        "                owned_shards=owned_shards_of(slot, self.workers),"
-        "\n", "")
-    found = _findings(result, "C2L201")
-    assert found, codes(result)
-    assert any("_slot_evaluator" in d.message
-               and "fabric.py" in d.path for d in found)
 
 
 def test_mutation_lambda_in_submit_fires_c2l202(repo_root):

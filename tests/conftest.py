@@ -10,18 +10,9 @@ Every test starts from the session's
 :class:`~repro.runconfig.RunConfig` and gets it back afterwards, so a
 test that installs its own config (or runs ``c2bound`` in-process)
 cannot leak settings into the next one.
-
-``pytest --sanitize`` re-runs any selected suite as a dynamic race
-check: it arms the runtime concurrency sanitizer
-(``C2BOUND_SANITIZE=1``, see :mod:`repro.analysis.sanitizer`) for the
-whole session and fails at teardown if any single-writer violation was
-recorded — so the differential/fuzz/chaos suites double as a race
-detector without changing a single test.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -30,49 +21,8 @@ from repro.core.params import ApplicationProfile, MachineParameters
 from repro.runconfig import current, install
 
 
-def pytest_addoption(parser: pytest.Parser) -> None:
-    parser.addoption(
-        "--sanitize", action="store_true", default=False,
-        help="arm the runtime concurrency sanitizer (C2BOUND_SANITIZE=1) "
-             "for the whole session and fail on any recorded finding")
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _sanitize_session(request, tmp_path_factory):
-    """Session-wide sanitizer arming behind ``--sanitize``."""
-    if not request.config.getoption("--sanitize"):
-        yield
-        return
-    from dataclasses import replace
-
-    from repro.analysis.sanitizer import load_findings
-
-    log = tmp_path_factory.mktemp("sanitize") / "findings.jsonl"
-    # The installed config arms this process and forked pool workers;
-    # the environment arms subprocesses, whose configs seed from it.
-    env = {"C2BOUND_SANITIZE": "1", "C2BOUND_SANITIZE_LOG": str(log)}
-    saved = {name: os.environ.get(name) for name in env}
-    os.environ.update(env)
-    previous = install(replace(current(), sanitize=True,
-                               sanitize_log=str(log)))
-    try:
-        yield
-    finally:
-        install(previous)
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-    findings = load_findings(log)
-    assert not findings, (
-        f"concurrency sanitizer recorded {len(findings)} finding(s) "
-        f"in {log}:\n"
-        + "\n".join(repr(f) for f in findings[:10]))
-
-
 @pytest.fixture(autouse=True)
-def _run_config(_sanitize_session):
+def _run_config():
     """Run each test under the session's config, restored afterwards."""
     previous = install(current())
     yield

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import pickle
 from dataclasses import replace
 
@@ -162,16 +163,46 @@ def test_pickle_ships_configuration_only(tmp_path):
     assert clone.get("aa" + "5" * 62) == 1.5  # disk is shared
 
 
-def test_concurrent_style_double_put_is_idempotent(tmp_path):
-    a = SimCacheStore(tmp_path / "cache")
-    b = SimCacheStore(tmp_path / "cache")
-    key = "bb" + "6" * 62
-    a.put(key, 2.5)
-    b.put(key, 2.5)  # second writer replaces atomically with same value
-    assert SimCacheStore(tmp_path / "cache").get(key) == 2.5
+def _put_repeatedly(start, root, key, cost, rounds):
+    store = SimCacheStore(root)
+    start.wait(timeout=60)
+    for _ in range(rounds):
+        store.put(key, cost)
 
 
-# ----- tiered semantics: shards, write-behind, ownership -------------------
+def _get_through_fresh_stores(start, root, key, rounds, results):
+    seen = set()
+    start.wait(timeout=60)
+    for _ in range(rounds):
+        seen.add(SimCacheStore(root).get(key))   # empty front: reads disk
+    results.put((sorted(seen, key=repr),
+                 get_registry().counter("sim.cache.corrupt").value))
+
+
+def test_concurrent_writers_never_expose_a_torn_entry(tmp_path):
+    # Two processes write one key over and over while a third reads it
+    # through fresh stores: temp file plus os.replace means a reader sees
+    # no entry or the whole entry, never a half-written one.
+    root, key, cost = tmp_path / "cache", "bb" + "6" * 62, 0.1 + 0.2
+    ctx = multiprocessing.get_context("spawn")
+    start, results = ctx.Barrier(3), ctx.Queue()
+    procs = [ctx.Process(target=_put_repeatedly,
+                         args=(start, root, key, cost, 1000))
+             for _ in range(2)]
+    procs.append(ctx.Process(target=_get_through_fresh_stores,
+                             args=(start, root, key, 2000, results)))
+    for proc in procs:
+        proc.start()
+    seen, corrupt = results.get(timeout=120)
+    for proc in procs:
+        proc.join(timeout=120)
+    assert [proc.exitcode for proc in procs] == [0, 0, 0]
+    assert set(seen) <= {None, cost}, seen
+    assert corrupt == 0
+    assert SimCacheStore(root).get(key) == cost
+
+
+# ----- tiered semantics: shards, write-behind --------------------------------
 def _k(prefix: str, fill: str = "7") -> str:
     return prefix + fill * (64 - len(prefix))
 
@@ -253,40 +284,14 @@ def test_pending_entry_survives_front_eviction(tmp_path):
     assert first in store._mem
 
 
-def test_owned_shards_enforce_single_writer(tmp_path):
-    registry = get_registry()
-    registry.reset()
-    owned, foreign = _k("ab"), _k("cd")
-    store = SimCacheStore(tmp_path / "cache",
-                          owned_shards=frozenset({0xAB}))
-    store.put(owned, 1.0)
-    store.put(foreign, 2.0)                  # denied: memory front only
-    assert store.path_for(owned).exists()
-    assert not store.path_for(foreign).exists()
-    assert store.denied == 1
-    assert registry.counter("sim.cache.shard_denied").value == 1
-    assert store.stats()["shard_denied"] == 1
-    assert store.stats()["owned_shards"] == 1
-    # The denied entry still serves this process from the front...
-    assert store.get(foreign) == 2.0
-    # ...and reads are never restricted: once the true owner persists
-    # it, a fresh scoped instance reads it from disk.
-    SimCacheStore(tmp_path / "cache",
-                  owned_shards=frozenset({0xCD})).put(foreign, 2.0)
-    scoped = SimCacheStore(tmp_path / "cache",
-                           owned_shards=frozenset({0xAB}))
-    assert scoped.get(foreign) == 2.0
-
-
 def test_scoped_view_shares_root_and_overrides_knobs(tmp_path):
     store = SimCacheStore(tmp_path / "cache", memory_entries=7)
-    view = store.scoped(owned_shards=frozenset({1, 2}), write_behind=5)
+    view = store.scoped(write_behind=5)
     assert view.root == store.root
     assert view.memory_entries == 7
     assert view.write_behind == 5
-    assert view.owned_shards == frozenset({1, 2})
-    # The original is untouched (write-through, unrestricted).
-    assert store.write_behind == 0 and store.owned_shards is None
+    # The original is untouched (write-through).
+    assert store.write_behind == 0
     key = _k("01")
     view.put(key, 3.0)
     view.flush()
@@ -294,12 +299,10 @@ def test_scoped_view_shares_root_and_overrides_knobs(tmp_path):
 
 
 def test_pickle_carries_tier_configuration(tmp_path):
-    store = SimCacheStore(tmp_path / "cache", write_behind=9,
-                          owned_shards=frozenset({3, 4}))
+    store = SimCacheStore(tmp_path / "cache", write_behind=9)
     store.put(_k("03", "9"), 1.0)            # buffered, never pickled
     clone = pickle.loads(pickle.dumps(store))
     assert clone.write_behind == 9
-    assert clone.owned_shards == frozenset({3, 4})
     assert len(clone._pending) == 0
 
 
@@ -318,7 +321,6 @@ def test_stats_tier_breakdown(tmp_path):
     assert stats["flushed"] == 2
     assert stats["shards_populated"] == 2
     assert stats["shard_count"] == SHARD_COUNT
-    assert stats["owned_shards"] == -1       # unrestricted
 
 
 def test_quarantine_still_works_with_write_behind(tmp_path):

@@ -18,13 +18,11 @@ from repro.resilience.checkpoint import journal_for_method
 from repro.runconfig import RunConfig, current, install
 
 SRC = Path(repro.__file__).resolve().parent
-ENV_NAMES = ("C2BOUND_SIM_CACHE", "C2BOUND_SANITIZE", "C2BOUND_SANITIZE_LOG")
 
 
 @pytest.fixture
 def clean_env(monkeypatch):
-    for name in ENV_NAMES:
-        monkeypatch.delenv(name, raising=False)
+    monkeypatch.delenv("C2BOUND_SIM_CACHE", raising=False)
     return monkeypatch
 
 
@@ -68,7 +66,6 @@ def test_from_env_defaults(clean_env):
     assert config == RunConfig()
     assert config.batch_size == 2048
     assert config.sim_cache is None
-    assert (config.sanitize, config.sanitize_log) == (False, None)
     assert (config.checkpoint, config.resume, config.run_id) == (
         None, False, None)
 
@@ -79,29 +76,6 @@ def test_from_env_sim_cache(clean_env, tmp_path):
     assert store is not None and store.root == tmp_path / "store"
     clean_env.setenv("C2BOUND_SIM_CACHE", "")
     assert RunConfig.from_env().sim_cache is None
-
-
-def test_seeding_opens_the_env_store_armed(clean_env, tmp_path):
-    # The store from_env opens arms its sanitizer from the installed
-    # config, which seeding must provide before the store exists.
-    clean_env.setenv("C2BOUND_SIM_CACHE", str(tmp_path / "store"))
-    clean_env.setenv("C2BOUND_SANITIZE", "1")
-    for seed in (current, RunConfig.from_env):
-        install(None)
-        store = seed().sim_cache
-        assert store is not None and store._sanitize is True
-
-
-def test_from_env_sanitizer(clean_env, tmp_path):
-    clean_env.setenv("C2BOUND_SANITIZE", "1")
-    clean_env.setenv("C2BOUND_SANITIZE_LOG", str(tmp_path / "f.jsonl"))
-    config = RunConfig.from_env()
-    assert config.sanitize is True
-    assert config.sanitize_log == str(tmp_path / "f.jsonl")
-    clean_env.setenv("C2BOUND_SANITIZE", "0")
-    clean_env.setenv("C2BOUND_SANITIZE_LOG", "")
-    config = RunConfig.from_env()
-    assert (config.sanitize, config.sanitize_log) == (False, None)
 
 
 # ---- the value and the slot ------------------------------------------------
@@ -117,13 +91,13 @@ def test_batch_size_is_validated():
         RunConfig(batch_size=0)
 
 
-def test_install_returns_previous_and_none_reseeds(clean_env):
+def test_install_returns_previous_and_none_reseeds(clean_env, tmp_path):
     mine = RunConfig(batch_size=7)
     before = install(mine)
     assert current() is mine
     assert install(None) is mine
-    clean_env.setenv("C2BOUND_SANITIZE", "1")
-    assert current().sanitize is True
+    clean_env.setenv("C2BOUND_SIM_CACHE", str(tmp_path / "store"))
+    assert current().sim_cache.root == tmp_path / "store"
     install(before)
 
 
@@ -213,16 +187,22 @@ def test_diff_treats_batch_size_as_invocation_only(tmp_path, capsys):
     assert "bit_identical" in capsys.readouterr().out
 
 
-def test_diff_ignores_the_retired_kernel_setting(tmp_path, capsys):
-    # Manifests written while the epoch kernel was a run setting carry
-    # config.sim_kernel; they must still diff identical to newer runs.
+@pytest.mark.parametrize("key,value", [
+    ("sim_kernel", True),
+    ("sanitize", True),
+    ("sanitize_log", "findings.jsonl"),
+])
+def test_diff_ignores_retired_settings(tmp_path, capsys, key, value):
+    # Manifests written while these were run settings (the epoch kernel
+    # switch, the runtime shard-write checker and its log) carry them in
+    # config; they must still diff identical to newer runs.
     run_a, run_b = tmp_path / "a", tmp_path / "b"
     for run in (run_a, run_b):
         assert cli.main(["fig1", "--quiet", "--out", str(run)]) == 0
     manifest_path = run_a / "manifest_fig1.json"
     manifest = json.loads(manifest_path.read_text())
-    assert "sim_kernel" not in manifest["config"]
-    manifest["config"]["sim_kernel"] = True
+    assert key not in manifest["config"]
+    manifest["config"][key] = value
     manifest_path.write_text(json.dumps(manifest))
     capsys.readouterr()
     assert cli.main(["diff", str(run_a), str(run_b)]) == 0
