@@ -31,9 +31,9 @@ import numpy as np
 from repro.core.camat_model import CAMATModel
 from repro.core.chip import ChipConfig
 from repro.core.lagrange import LagrangianSystem
+from repro.core.optimizer import split_budget
 from repro.core.params import ApplicationProfile, MachineParameters
 from repro.errors import InvalidParameterError
-from repro.solvers import brent_minimize
 
 __all__ = ["AsymmetricDesign", "AsymmetricOptimizer"]
 
@@ -86,29 +86,8 @@ class AsymmetricOptimizer:
     # ----- per-budget area split (shared with the symmetric path) ------
     def _split_budget(self, budget: float) -> tuple[float, float, float, float]:
         """Best (a0, a1, a2, q) for one core given an area budget."""
-        m = self.machine
-        min_rest = 2.0 * m.min_cache_area
-        if budget <= m.min_core_area + min_rest:
-            raise InvalidParameterError(
-                f"budget {budget:.4f} below the minimum core footprint")
-
-        def cache_split(a0: float) -> tuple[float, float, float]:
-            rest = budget - a0
-            lo = m.min_cache_area
-            hi = rest - m.min_cache_area
-            if hi <= lo:
-                a1 = rest / 2.0
-                return a1, rest - a1, self.lagrangian.per_instruction_time(
-                    a0, a1, rest - a1)
-            a1, q = brent_minimize(
-                lambda v: self.lagrangian.per_instruction_time(
-                    a0, v, rest - v), lo, hi, tol=1e-6)
-            return a1, rest - a1, q
-
-        a0, _ = brent_minimize(lambda v: cache_split(v)[2],
-                               m.min_core_area, budget - min_rest, tol=1e-6)
-        a1, a2, q = cache_split(a0)
-        return a0, a1, a2, q
+        return split_budget(self.machine, budget,
+                            self.lagrangian.per_instruction_time)
 
     def evaluate(self, big_budget: float, n_small: int) -> AsymmetricDesign:
         """Evaluate one (big-core budget, small-core count) pair."""

@@ -26,9 +26,10 @@ from repro.core.camat_model import CAMATModel
 from repro.core.chip import ChipConfig
 from repro.core.constraints import AreaBudget
 from repro.core.lagrange import LagrangianSystem
+from repro.core.optimizer import split_budget
 from repro.core.params import ApplicationProfile, MachineParameters
 from repro.errors import InvalidParameterError
-from repro.solvers import brent_minimize, integer_minimize
+from repro.solvers import integer_minimize
 
 __all__ = ["PhaseWeight", "MultiPhaseResult", "MultiPhaseOptimizer"]
 
@@ -110,31 +111,13 @@ class MultiPhaseOptimizer:
     def area_split(self, n: int) -> ChipConfig:
         """Optimal shared split for ``n`` cores (nested Brent on the
         weighted per-instruction time)."""
-        m = self.machine
-        b = self._budget.per_core_budget(n)
-        min_rest = 2.0 * m.min_cache_area
-        if b <= m.min_core_area + min_rest:
-            raise InvalidParameterError(
-                f"N={n} infeasible: per-core budget {b:.4f} too small")
 
         def weighted_q(a0: float, a1: float, a2: float) -> float:
             return sum(p.weight * s.per_instruction_time(a0, a1, a2)
                        for p, s in zip(self.phases, self._systems))
 
-        def best_cache_split(a0: float) -> tuple[float, float, float]:
-            rest = b - a0
-            lo = m.min_cache_area
-            hi = rest - m.min_cache_area
-            if hi <= lo:
-                a1 = rest / 2.0
-                return a1, rest - a1, weighted_q(a0, a1, rest - a1)
-            a1, q = brent_minimize(
-                lambda v: weighted_q(a0, v, rest - v), lo, hi, tol=1e-6)
-            return a1, rest - a1, q
-
-        a0, _ = brent_minimize(lambda v: best_cache_split(v)[2],
-                               m.min_core_area, b - min_rest, tol=1e-6)
-        a1, a2, _ = best_cache_split(a0)
+        a0, a1, a2, _ = split_budget(
+            self.machine, self._budget.per_core_budget(n), weighted_q)
         return ChipConfig(n=n, a0=a0, a1=a1, a2=a2)
 
     def optimize(self, *, n_min: int = 1,

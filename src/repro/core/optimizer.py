@@ -15,6 +15,7 @@ integer ``N`` then follows Fig. 6:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -26,7 +27,42 @@ from repro.core.params import ApplicationProfile, MachineParameters
 from repro.errors import ConvergenceError, InvalidParameterError
 from repro.solvers import brent_minimize, integer_minimize
 
-__all__ = ["DesignPoint", "OptimizationResult", "C2BoundOptimizer"]
+__all__ = ["DesignPoint", "OptimizationResult", "C2BoundOptimizer",
+           "split_budget"]
+
+
+def split_budget(machine: MachineParameters, budget: float,
+                 q: Callable[[float, float, float], float],
+                 ) -> tuple[float, float, float, float]:
+    """Best ``(a0, a1, a2, q)`` for one core of area ``budget``.
+
+    Minimizes the per-instruction time ``q(a0, a1, a2)`` over the
+    simplex ``a0 + a1 + a2 = budget`` with the machine's minimum sizes
+    as bounds: an outer Brent search over ``a0``, an inner one over
+    ``a1`` for each ``a0``.
+    """
+    m = machine
+    min_rest = 2.0 * m.min_cache_area
+    if budget <= m.min_core_area + min_rest:
+        raise InvalidParameterError(
+            f"per-core budget {budget:.4f} below minimum "
+            f"{m.min_core_area + min_rest:.4f}")
+
+    def cache_split(a0: float) -> tuple[float, float, float]:
+        rest = budget - a0
+        lo = m.min_cache_area
+        hi = rest - m.min_cache_area
+        if hi <= lo:
+            a1 = rest / 2.0
+            return a1, rest - a1, q(a0, a1, rest - a1)
+        a1, q_min = brent_minimize(lambda v: q(a0, v, rest - v),
+                                   lo, hi, tol=1e-6)
+        return a1, rest - a1, q_min
+
+    a0, _ = brent_minimize(lambda v: cache_split(v)[2],
+                           m.min_core_area, budget - min_rest, tol=1e-6)
+    a1, a2, q_min = cache_split(a0)
+    return a0, a1, a2, q_min
 
 
 @dataclass(frozen=True)
@@ -121,32 +157,9 @@ class C2BoundOptimizer:
         Minimizes ``CPI_exe(A0) + S*AMAT(A1, A2)`` over the simplex
         ``A0 + A1 + A2 = B`` with the machine's minimum sizes as bounds.
         """
-        m = self.machine
-        b = self.budget.per_core_budget(n)
-        min_rest = 2.0 * m.min_cache_area
-        if b <= m.min_core_area + min_rest:
-            raise InvalidParameterError(
-                f"N={n} infeasible: per-core budget {b:.4f} below minimum "
-                f"{m.min_core_area + min_rest:.4f}")
-
-        def best_cache_split(a0: float) -> tuple[float, float, float]:
-            rest = b - a0
-            lo = m.min_cache_area
-            hi = rest - m.min_cache_area
-            if hi <= lo:
-                a1 = rest / 2.0
-                return a1, rest - a1, self.lagrangian.per_instruction_time(
-                    a0, a1, rest - a1)
-            a1, q = brent_minimize(
-                lambda a1v: self.lagrangian.per_instruction_time(
-                    a0, a1v, rest - a1v), lo, hi, tol=1e-6)
-            return a1, rest - a1, q
-
-        def outer(a0: float) -> float:
-            return best_cache_split(a0)[2]
-
-        a0, _ = brent_minimize(outer, m.min_core_area, b - min_rest, tol=1e-6)
-        a1, a2, _ = best_cache_split(a0)
+        a0, a1, a2, _ = split_budget(
+            self.machine, self.budget.per_core_budget(n),
+            self.lagrangian.per_instruction_time)
         return ChipConfig(n=n, a0=a0, a1=a1, a2=a2)
 
     def refine_newton(self, config: ChipConfig) -> ChipConfig:

@@ -1,4 +1,5 @@
-"""Append-only JSONL logs: the one reader and writer of the format.
+"""Append-only JSONL logs: the one reader of the format, and the writer
+of its header logs (traces are written by ``repro.obs.events.JsonlWriter``).
 
 Checkpoint journals, the job registry and traces share one crash rule, set out in ``docs/ROBUSTNESS.md`` ("Append-only
 logs"): only the final line can be torn, and it is dropped; a corrupt

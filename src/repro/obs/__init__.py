@@ -14,8 +14,8 @@ event schema):
   git SHA, wall time, final metrics);
 - :mod:`repro.obs.export` — metrics snapshots, timing summaries and the
   CLI's structured reporter;
-- :mod:`repro.obs.stream` — bounded-memory trace tailing and pub/sub
-  aggregation (the live-progress primitive);
+- :mod:`repro.obs.stream` — trace tailing and the span-rollup and
+  progress folds (the live-progress primitive);
 - :mod:`repro.obs.profile` — wall-clock attribution into
   ``c2bound.profile/1`` buckets;
 - :mod:`repro.obs.report` — ``c2bound report`` / ``diff`` / ``tail``.
@@ -67,8 +67,6 @@ if TYPE_CHECKING:
         trace_event,
     )
     from repro.obs.stream import (
-        EventBus,
-        MetricFold,
         ProgressAggregator,
         SpanRollup,
         TraceReader,
@@ -109,9 +107,7 @@ __all__ = [
     "timing_table",
     # stream
     "TraceReader",
-    "EventBus",
     "SpanRollup",
-    "MetricFold",
     "ProgressAggregator",
     # profile
     "PROFILE_SCHEMA",

@@ -112,18 +112,15 @@ def build_profile(rollup: SpanRollup, *,
     }
 
 
-def profile_trace(path: "str | Path", *,
-                  rollup: "SpanRollup | None" = None,
-                  ) -> "tuple[dict, SpanRollup]":
+def profile_trace(path: "str | Path") -> "tuple[dict, SpanRollup]":
     """Profile a trace file on disk.
 
     Reads the whole trace through :class:`TraceReader` (so a torn
-    in-flight tail is simply excluded), folds it into ``rollup`` (a
-    fresh one unless given), and returns ``(profile, rollup)`` — the
-    rollup is handed back for flame rendering.
+    in-flight tail is simply excluded) and returns ``(profile,
+    rollup)`` — the rollup is handed back for flame rendering.
     """
-    rollup = rollup if rollup is not None else SpanRollup()
-    for event in TraceReader(Path(path)).read_all():
+    rollup = SpanRollup()
+    for event in TraceReader(path).read_all():
         rollup.handle(event)
     return build_profile(rollup, trace=str(path)), rollup
 

@@ -37,11 +37,11 @@ from repro.obs.profile import (
     PROFILE_BUCKETS,
     build_profile,
     format_profile,
+    profile_trace,
     render_flame,
 )
 from repro.obs.registry import get_registry
 from repro.obs.stream import (
-    EventBus,
     ProgressAggregator,
     SpanRollup,
     TraceReader,
@@ -155,37 +155,37 @@ def discover_run(run_dir: "str | Path") -> RunArtifacts:
 # report construction
 # ---------------------------------------------------------------------------
 
-def _fold_trace(trace_path: Path) -> "tuple[SpanRollup, ProgressAggregator, list[dict]]":
-    """One pass over the trace: rollup + progress + resilience events."""
+def _fold_trace(trace_path: Path) -> "tuple[SpanRollup, ProgressAggregator, list[dict], list[tuple[float, int, int]]]":
+    """One pass over the trace: rollup + progress + resilience events +
+    the ``(ts, fresh, cached)`` row of every ``dse.batch`` span."""
     rollup = SpanRollup()
     progress = ProgressAggregator()
     timeline: "list[dict]" = []
-    bus = EventBus()
-    bus.subscribe(rollup)
-    bus.subscribe(progress)
-    bus.subscribe(timeline.append, prefixes=("resilience.",))
-    reader = TraceReader(trace_path)
-    while bus.pump(reader):
-        pass
-    return rollup, progress, timeline
-
-
-def _hit_rate_curve(trace_path: Path) -> "list[dict]":
-    """Cumulative evaluation-cache hit rate (the ``cached`` share of
-    ``dse.batch`` spans' points) in trace order, downsampled to ≤
-    ``_CURVE_CAP`` points."""
     batches: "list[tuple[float, int, int]]" = []
     for event in TraceReader(trace_path).read_all():
-        if event.get("type") != "span" or event.get("name") != "dse.batch":
+        rollup.handle(event)
+        progress.handle(event)
+        name = event.get("name")
+        if not isinstance(name, str):
             continue
-        attrs = event.get("attrs") or {}
-        fresh = attrs.get("fresh", attrs.get("size", 0))
-        cached = attrs.get("cached", 0)
-        ts = event.get("ts", 0.0)
-        if isinstance(fresh, (int, float)) and isinstance(
-                cached, (int, float)) and isinstance(ts, (int, float)):
-            batches.append((float(ts), int(fresh), int(cached)))
-    batches.sort(key=lambda row: row[0])
+        if name.startswith("resilience."):
+            timeline.append(event)
+        elif name == "dse.batch" and event.get("type") == "span":
+            attrs = event.get("attrs") or {}
+            fresh = attrs.get("fresh", attrs.get("size", 0))
+            cached = attrs.get("cached", 0)
+            ts = event.get("ts", 0.0)
+            if isinstance(fresh, (int, float)) and isinstance(
+                    cached, (int, float)) and isinstance(ts, (int, float)):
+                batches.append((float(ts), int(fresh), int(cached)))
+    return rollup, progress, timeline, batches
+
+
+def _hit_rate_curve(batches: "list[tuple[float, int, int]]") -> "list[dict]":
+    """Cumulative evaluation-cache hit rate (the ``cached`` share of
+    ``dse.batch`` spans' points) in span start order, downsampled to ≤
+    ``_CURVE_CAP`` points."""
+    batches = sorted(batches, key=lambda row: row[0])
     points: "list[dict]" = []
     evals = 0
     hits = 0
@@ -220,14 +220,22 @@ def _method_counts(metrics: "dict | None") -> "dict[str, int]":
 
 def build_report(run_dir: "str | Path") -> dict:
     """Fold one run directory into a ``c2bound.report/1`` document."""
+    return _build_report(run_dir)[0]
+
+
+def _build_report(run_dir: "str | Path") -> "tuple[dict, SpanRollup | None]":
+    """The report plus the span rollup of its trace (``None`` without
+    one), which ``report --flame`` renders."""
     run = discover_run(run_dir)
+    rollup: "SpanRollup | None" = None
     profile: "dict | None" = None
     progress_snapshot: "dict | None" = None
     timeline: "list[dict]" = []
     timeline_dropped = 0
     curve: "list[dict]" = []
     if run.trace_path is not None:
-        rollup, progress, raw_timeline = _fold_trace(run.trace_path)
+        rollup, progress, raw_timeline, batches = _fold_trace(
+            run.trace_path)
         profile = build_profile(rollup, trace=str(run.trace_path))
         progress_snapshot = progress.snapshot()
         base = progress.started_ts or 0.0
@@ -242,7 +250,7 @@ def build_report(run_dir: "str | Path") -> dict:
             "dur_s": ev.get("dur_s"),
             "attrs": ev.get("attrs") or {},
         } for ev in raw_timeline]
-        curve = _hit_rate_curve(run.trace_path)
+        curve = _hit_rate_curve(batches)
     manifest = run.manifest or {}
     counters = (run.metrics or {}).get("counters", {})
     report = {
@@ -272,7 +280,7 @@ def build_report(run_dir: "str | Path") -> dict:
         "timeline_dropped": timeline_dropped,
     }
     get_registry().counter("report.reports").inc()
-    return report
+    return report, rollup
 
 
 def _rel(path: "Path | None", root: Path) -> "str | None":
@@ -650,10 +658,8 @@ def _compare_outputs(run_a: RunArtifacts,
 def _compare_profiles(run_a: RunArtifacts, run_b: RunArtifacts) -> "dict | None":
     if run_a.trace_path is None or run_b.trace_path is None:
         return None
-    profiles = []
-    for run in (run_a, run_b):
-        rollup, _, _ = _fold_trace(run.trace_path)  # type: ignore[arg-type]
-        profiles.append(build_profile(rollup, trace=str(run.trace_path)))
+    profiles = [profile_trace(run.trace_path)[0]  # type: ignore[arg-type]
+                for run in (run_a, run_b)]
     buckets: dict = {}
     for bucket in PROFILE_BUCKETS:
         sa = profiles[0]["buckets"][bucket]["seconds"]
@@ -740,18 +746,16 @@ def report_command(argv: "list[str]") -> int:
         print(f"error: {args.run_dir} is not a directory",
               file=sys.stderr)
         return 2
-    report = build_report(args.run_dir)
+    report, rollup = _build_report(args.run_dir)
     out_dir = args.out if args.out is not None else args.run_dir
     json_path = write_report(report, out_dir / "report.json")
     html_path = Path(out_dir) / "report.html"
     html_path.parent.mkdir(parents=True, exist_ok=True)
     html_path.write_text(render_html(report), encoding="utf-8")
     if not args.quiet:
-        if report["profile"] is not None:
+        if rollup is not None:
             print(format_profile(report["profile"]))
             if args.flame:
-                rollup, _, _ = _fold_trace(
-                    args.run_dir / report["artifacts"]["trace"])
                 print(render_flame(rollup))
         else:
             print("no trace in run dir; report covers manifest/metrics/"
@@ -844,8 +848,6 @@ def tail_command(argv: "list[str]") -> int:
                         help="drain what is there now and exit")
     args = parser.parse_args(argv)
     progress = ProgressAggregator()
-    bus = EventBus()
-    bus.subscribe(progress)
     printed: "list[str]" = []
 
     def emit() -> None:
@@ -854,15 +856,15 @@ def tail_command(argv: "list[str]") -> int:
             printed.append(line)
             print(line, flush=True)
 
-    def on_poll(count: int) -> None:
-        if count:
-            emit()
-
     idle = None if args.idle_timeout <= 0 else args.idle_timeout
-    follow(args.trace, bus=bus, interval_s=max(0.05, args.interval),
-           idle_timeout_s=0.0 if args.once else idle,
-           max_polls=1 if args.once else None,
-           until=lambda: progress.done, on_poll=on_poll)
+    for events in follow(args.trace, interval_s=max(0.05, args.interval),
+                         idle_timeout_s=idle):
+        for event in events:
+            progress.handle(event)
+        if events:
+            emit()
+        if args.once or progress.done:
+            break
     if progress.evaluations or progress.done:
         emit()
         return 0

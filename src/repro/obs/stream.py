@@ -2,25 +2,23 @@
 
 The producer side of the observability stack (:mod:`repro.obs.span`,
 :mod:`repro.obs.events`) appends whole JSON lines to a trace file while
-a run executes.  This module is the *consumer* half: bounded-memory
-primitives that follow such a file while it grows and fold its events
-into live aggregates — the progress-streaming layer the DSE job server
-(ROADMAP item 1) and the ``c2bound tail``/``report`` commands ride on.
+a run executes.  This module is the *consumer* half: a reader that
+follows such a file while it grows, and the folds the ``c2bound
+tail``/``report`` commands feed its events to.
 
 - :class:`TraceReader` — a pull-based tailer.  Each :meth:`~TraceReader.poll`
   yields exactly the events appended since the previous poll, never a
   partial line: an append-only writer can only tear the *final* line of
   the file, and the reader simply leaves an un-terminated tail in place
   until the terminating newline arrives (the append-only log rule of
-  :mod:`repro.io.applog`, shared with checkpoint replay).  Memory is
-  bounded by one poll's read, not the file size.
-- :class:`EventBus` — synchronous pub/sub fan-out of trace events to
-  subscribed handlers, filterable by event type and name prefix.
+  :mod:`repro.io.applog`, shared with checkpoint replay).
+- :func:`follow` — the reader's polls of a growing file, until it goes
+  idle.
 - Incremental aggregators — :class:`SpanRollup` (per-name count / total
-  / self-time plus parent→child edge rollups, computed online),
-  :class:`MetricFold` (counter/histogram-style folds over numeric event
-  attributes) and :class:`ProgressAggregator` (live sweep progress from
-  ``dse.batch`` spans: evaluations, rate, run completion).
+  / self-time plus parent→child edge rollups, computed online) and
+  :class:`ProgressAggregator` (live sweep progress from ``dse.batch``
+  spans: evaluations, rate, run completion).  Each has a ``handle``
+  method taking one event dict.
 
 Consumption is observable itself: ``obs.stream.polls`` /
 ``obs.stream.events`` / ``obs.stream.torn_tails`` / ``obs.stream.resets``
@@ -31,17 +29,13 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from repro.errors import ObservabilityError
 from repro.io.applog import parse_lines, split_lines
 from repro.obs.registry import get_registry
 
-__all__ = ["TraceReader", "EventBus", "SpanRollup", "MetricFold",
-           "ProgressAggregator", "follow"]
-
-#: A trace-event consumer: called once per event dict.
-Handler = Callable[[dict], None]
+__all__ = ["TraceReader", "SpanRollup", "ProgressAggregator", "follow"]
 
 
 class TraceReader:
@@ -52,12 +46,6 @@ class TraceReader:
     path:
         The trace file.  It may not exist yet; polls before creation
         yield nothing.
-    max_bytes:
-        Target bytes consumed per :meth:`poll` (rounded down to the
-        last complete line), so a reader attached to a huge backlog
-        catches up in bounded-memory steps.  A single line longer than
-        the budget is still read whole — the longest line is the hard
-        memory floor.  ``None`` reads everything available.
 
     Guarantees:
 
@@ -70,13 +58,8 @@ class TraceReader:
       stream from the top (counted in ``obs.stream.resets``).
     """
 
-    def __init__(self, path: "str | Path", *,
-                 max_bytes: "int | None" = None) -> None:
-        if max_bytes is not None and max_bytes < 1:
-            raise ObservabilityError(
-                f"max_bytes must be >= 1 or None, got {max_bytes}")
+    def __init__(self, path: "str | Path") -> None:
         self.path = Path(path)
-        self.max_bytes = max_bytes
         self.offset = 0
         #: complete lines consumed so far (names a corrupt line's number)
         self.lineno = 0
@@ -101,23 +84,9 @@ class TraceReader:
             return []
         with self.path.open("rb") as fh:
             fh.seek(self.offset)
-            budget = size - self.offset
-            if self.max_bytes is not None:
-                budget = min(budget, self.max_bytes)
-            data = fh.read(budget)
-            scanned = 0
-            while (data.find(b"\n", scanned) < 0
-                   and self.offset + len(data) < size):
-                # A single line outgrew max_bytes: the budget is a
-                # per-poll target, the longest line is the hard memory
-                # floor.  Grow until that line's newline arrives.
-                chunk = fh.read(budget)
-                if not chunk:
-                    break
-                scanned = len(data)
-                data += chunk
+            data = fh.read(size - self.offset)
         lines, tail = split_lines(data)
-        if tail and self.offset + len(data) >= size:
+        if tail:
             # A torn tail stays in the file, unconsumed, until the
             # writer terminates the line.
             self._ctr_torn.inc()
@@ -138,82 +107,6 @@ class TraceReader:
             if not batch:
                 return out
             out.extend(batch)
-
-    def __iter__(self) -> "Iterator[dict]":
-        """Iterate the events currently available (one drain)."""
-        return iter(self.read_all())
-
-
-class _Subscription:
-    """One handler plus its event filter."""
-
-    __slots__ = ("handler", "types", "prefixes")
-
-    def __init__(self, handler: Handler,
-                 types: "frozenset[str] | None",
-                 prefixes: "tuple[str, ...] | None") -> None:
-        self.handler = handler
-        self.types = types
-        self.prefixes = prefixes
-
-    def matches(self, event: dict) -> bool:
-        if self.types is not None and event.get("type") not in self.types:
-            return False
-        if self.prefixes is None:
-            return True
-        name = event.get("name")
-        if not isinstance(name, str):
-            return False
-        return any(name.startswith(p) for p in self.prefixes)
-
-
-class EventBus:
-    """Synchronous pub/sub dispatch of trace events.
-
-    Handlers are called in subscription order; a handler that raises
-    aborts the publish (streaming consumers should be exception-free —
-    the aggregators here are).
-    """
-
-    def __init__(self) -> None:
-        self._subs: "list[_Subscription]" = []
-
-    def subscribe(self, handler: Handler, *,
-                  types: "Sequence[str] | None" = None,
-                  prefixes: "Sequence[str] | None" = None,
-                  ) -> Handler:
-        """Register ``handler`` for matching events; returns it.
-
-        ``types`` filters on the event ``type`` (``span`` / ``event`` /
-        ``run``); ``prefixes`` on the event ``name``.  ``None`` means
-        no filter on that axis.  Objects with a ``handle`` method may
-        be passed directly in place of a callable.
-        """
-        call = getattr(handler, "handle", handler)
-        self._subs.append(_Subscription(
-            call,
-            frozenset(types) if types is not None else None,
-            tuple(prefixes) if prefixes is not None else None))
-        return handler
-
-    def unsubscribe(self, handler: Handler) -> None:
-        """Remove every subscription whose handler is ``handler``."""
-        call = getattr(handler, "handle", handler)
-        self._subs = [s for s in self._subs
-                      if s.handler not in (handler, call)]
-
-    def publish(self, event: dict) -> None:
-        """Dispatch one event to every matching subscriber."""
-        for sub in self._subs:
-            if sub.matches(event):
-                sub.handler(event)
-
-    def pump(self, reader: TraceReader) -> int:
-        """Poll ``reader`` once and publish everything it yielded."""
-        events = reader.poll()
-        for event in events:
-            self.publish(event)
-        return len(events)
 
 
 class SpanRollup:
@@ -341,48 +234,6 @@ class SpanRollup:
         }
 
 
-class MetricFold:
-    """Counter/histogram-style folds over numeric event attributes.
-
-    For every consumed event, each numeric value in ``attrs`` folds
-    into an online summary keyed by ``"<event name>.<attr>"``: count,
-    sum, min, max.  This is the generic "counter fold" of the
-    streaming layer — e.g. folding ``dse.batch`` spans' ``fresh`` /
-    ``cached`` attributes reconstructs the budget counters of a run
-    that is still in flight.
-    """
-
-    def __init__(self) -> None:
-        #: "<name>.<attr>" -> [count, sum, min, max]
-        self.folds: "dict[str, list]" = {}
-
-    def handle(self, event: dict) -> None:
-        """Fold one event's numeric attributes."""
-        name = event.get("name")
-        attrs = event.get("attrs")
-        if not isinstance(name, str) or not isinstance(attrs, dict):
-            return
-        for attr, value in attrs.items():
-            if isinstance(value, bool) or not isinstance(
-                    value, (int, float)):
-                continue
-            fold = self.folds.get(f"{name}.{attr}")
-            if fold is None:
-                self.folds[f"{name}.{attr}"] = [1, value, value, value]
-                continue
-            fold[0] += 1
-            fold[1] += value
-            if value < fold[2]:
-                fold[2] = value
-            if value > fold[3]:
-                fold[3] = value
-
-    def snapshot(self) -> dict:
-        """JSON-ready ``{key: {count, sum, min, max}}`` view."""
-        return {key: {"count": f[0], "sum": f[1], "min": f[2], "max": f[3]}
-                for key, f in sorted(self.folds.items())}
-
-
 class ProgressAggregator:
     """Live sweep progress from the span stream.
 
@@ -486,37 +337,25 @@ class ProgressAggregator:
         return f"{head} {body}"
 
 
-def follow(path: "str | Path", *, bus: EventBus,
-           interval_s: float = 0.5,
+def follow(path: "str | Path", *, interval_s: float = 0.5,
            idle_timeout_s: "float | None" = 10.0,
-           max_polls: "int | None" = None,
-           until: "Callable[[], bool] | None" = None,
            sleep: Callable[[float], None] = time.sleep,
-           on_poll: "Callable[[int], None] | None" = None) -> int:
-    """Pump a trace file through ``bus`` until the run looks finished.
+           ) -> "Iterator[list[dict]]":
+    """Poll a trace file every ``interval_s`` seconds, yielding each
+    poll's events (possibly none).
 
-    Polls every ``interval_s`` seconds, stopping when ``until()``
-    returns true (checked after each poll), when no new events arrive
-    for ``idle_timeout_s`` seconds, or after ``max_polls`` polls —
-    whichever comes first.  ``sleep`` is injectable so tests drive the
-    loop instantly.  Returns the total number of events published.
+    Ends once no new events have arrived for ``idle_timeout_s`` seconds
+    (``None`` never idles out); a consumer that sees the run finish
+    simply stops iterating.  ``sleep`` is injectable so tests drive the
+    loop instantly.
     """
     reader = TraceReader(path)
-    total = 0
     idle_polls = 0
-    polls = 0
     while True:
-        count = bus.pump(reader)
-        total += count
-        polls += 1
-        idle_polls = 0 if count else idle_polls + 1
-        if on_poll is not None:
-            on_poll(count)
-        if until is not None and until():
-            return total
-        if max_polls is not None and polls >= max_polls:
-            return total
-        if (idle_timeout_s is not None and interval_s > 0
+        events = reader.poll()
+        yield events
+        idle_polls = 0 if events else idle_polls + 1
+        if (idle_timeout_s is not None
                 and idle_polls * interval_s >= idle_timeout_s):
-            return total
+            return
         sleep(interval_s)

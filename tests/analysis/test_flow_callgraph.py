@@ -190,13 +190,30 @@ def test_repo_flow_keeps_every_reexport_and_edge(repo_root):
     # RunConfig call); and the submit scanner's payload-builder
     # resolution.  The fabric's one worker evaluator added one
     # (FabricEvaluator.__init__ -> _worker_evaluator).
+    # Reading each trace once removed two re-exports (EventBus,
+    # MetricFold) and a net nine edges.  Out: the bus's nine
+    # (EventBus.pump's two, .subscribe's one to _Subscription, the
+    # bus calls of _fold_trace, tail_command and follow), TraceReader's
+    # to ObservabilityError (max_bytes) and __iter__'s to read_all,
+    # _hit_rate_curve's two reads, the third fold of report_command,
+    # and _compare_profiles' fold and build_profile calls.  Moved:
+    # build_report's seven callees and report_command's call onto
+    # _build_report, which build_report now calls.  In: follow ->
+    # TraceReader.poll, _fold_trace -> read_all and the two folds'
+    # handle methods, tail_command -> ProgressAggregator.handle,
+    # _compare_profiles -> profile_trace, and profile_trace ->
+    # SpanRollup.handle (its rollup no longer optional).  The one
+    # nested-Brent area split (core.optimizer.split_budget) replaced
+    # the three splits' six edges to brent_minimize and
+    # InvalidParameterError with its own two, plus one from each split
+    # to it.
     from repro._lazy import _reexports
     from repro.analysis.flow import get_flow
     from repro.analysis.source import load_project
 
     flow = get_flow(load_project([repo_root / "src"], root=repo_root))
-    assert len(flow.graph.exports) == 307
-    assert sum(len(callees) for callees in flow.edges.values()) == 1370
+    assert len(flow.graph.exports) == 305
+    assert sum(len(callees) for callees in flow.edges.values()) == 1361
     for init in (repo_root / "src" / "repro").rglob("__init__.py"):
         package = ".".join(init.parent.relative_to(repo_root / "src").parts)
         for name, (module, attr) in _reexports(str(init)).items():

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.asymmetric import AsymmetricOptimizer
+from repro.core.constraints import AreaBudget
 from repro.core.multiphase import (
     MultiPhaseOptimizer,
     PhaseWeight,
@@ -82,3 +86,26 @@ class TestMultiPhase:
             MultiPhaseOptimizer([], machine)
         with pytest.raises(InvalidParameterError):
             PhaseWeight(compute_phase(), 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(frac=st.floats(min_value=0.0, max_value=1.0),
+       f_mem=st.floats(min_value=0.0, max_value=0.9),
+       concurrency=st.floats(min_value=1.0, max_value=8.0),
+       alpha=st.floats(min_value=0.0, max_value=1.5))
+def test_reductions_split_the_area_exactly_like_the_symmetric_optimizer(
+        frac, f_mem, concurrency, alpha):
+    # A one-phase mixture and one core of an asymmetric chip given the
+    # symmetric per-core budget are the symmetric problem: the same
+    # split, float for float, at every feasible core count.
+    machine = MachineParameters()
+    budget = AreaBudget(machine)
+    n = 1 + round(frac * (budget.max_feasible_cores() - 1))
+    app = ApplicationProfile(name="p", f_seq=0.05, f_mem=f_mem,
+                             concurrency=concurrency, g=PowerLawG(alpha))
+    split = C2BoundOptimizer(app, machine).area_split(n)
+    multi = MultiPhaseOptimizer([PhaseWeight(app, 1.0)], machine)
+    assert multi.area_split(n) == split
+    asym = AsymmetricOptimizer(app, machine)
+    assert asym._split_budget(budget.per_core_budget(n))[:3] == (
+        split.a0, split.a1, split.a2)

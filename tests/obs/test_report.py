@@ -7,6 +7,7 @@ from html.parser import HTMLParser
 
 import pytest
 
+from repro.obs.registry import get_registry
 from repro.obs.report import (
     REPORT_SCHEMA,
     build_report,
@@ -33,6 +34,11 @@ def _trace_events():
         {"type": "span", "name": "dse.batch", "id": 4, "parent": 1,
          "ts": 103.0, "dur_s": 1.0,
          "attrs": {"size": 10, "fresh": 2, "cached": 8}},
+        # Starts before batch 4 and ends after it: trace (exit) order
+        # and start order disagree.
+        {"type": "span", "name": "dse.batch", "id": 5, "parent": 1,
+         "ts": 102.8, "dur_s": 1.5,
+         "attrs": {"size": 2, "fresh": 1, "cached": 1}},
         {"type": "span", "name": "experiment.fig12", "id": 1,
          "parent": None, "ts": 100.0, "dur_s": 5.0, "attrs": {}},
     ]
@@ -131,10 +137,13 @@ class TestBuildReport:
         profile = report["profile"]
         assert profile["coverage"] == pytest.approx(1.0)
         assert profile["buckets"]["simulation"]["seconds"] == (
-            pytest.approx(2.0 + 2.5 - 2.0 + 1.0))  # sim.run + batch self
-        # Curve: 8/10 then 10/20 cumulative cached share... (fresh first)
-        assert [p["evaluations"] for p in report["cache_curve"]] == [10, 20]
-        assert report["cache_curve"][-1]["hit_rate"] == pytest.approx(0.5)
+            pytest.approx(2.0 + 2.5 - 2.0 + 1.0 + 1.5))  # sim.run + batch self
+        # Curve: cumulative cached share in batch start order (batch 5
+        # before batch 4), not trace order, which would give [10, 20, 22].
+        assert [p["evaluations"] for p in report["cache_curve"]] == [
+            10, 12, 22]
+        assert [p["hit_rate"] for p in report["cache_curve"]] == [
+            pytest.approx(0.2), pytest.approx(0.25), pytest.approx(0.5)]
         # Timeline carries the resilience event with run-relative time.
         assert len(report["timeline"]) == 1
         entry = report["timeline"][0]
@@ -232,6 +241,18 @@ class TestCli:
         report = json.loads((root / "report.json").read_text())
         assert report["schema"] == REPORT_SCHEMA
 
+    def test_report_reads_the_trace_once(self, tmp_path, capsys):
+        root = _make_run(tmp_path / "runA")
+        lines = len((root / "trace.jsonl").read_text().splitlines())
+        events = get_registry().counter("obs.stream.events")
+        before = events.value
+        build_report(root)
+        assert events.value - before == lines
+        before = events.value
+        assert cli_main(["report", str(root), "--flame"]) == 0
+        assert events.value - before == lines
+        assert "experiment.fig12" in capsys.readouterr().out  # the flame
+
     def test_report_command_out_dir(self, tmp_path):
         root = _make_run(tmp_path / "runA")
         out = tmp_path / "elsewhere"
@@ -261,7 +282,7 @@ class TestCli:
                          "--once"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert out, "tail printed nothing"
-        assert "evals=20" in out[-1]
+        assert "evals=22" in out[-1]
         assert "experiment.fig12" in out[-1]
 
     def test_tail_empty_trace(self, tmp_path, capsys):
