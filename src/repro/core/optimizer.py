@@ -26,6 +26,7 @@ from repro.core.lagrange import LagrangianSystem
 from repro.core.params import ApplicationProfile, MachineParameters
 from repro.errors import ConvergenceError, InvalidParameterError
 from repro.solvers import brent_minimize, integer_minimize
+from repro.solvers.grid import unique_ints
 
 __all__ = ["DesignPoint", "OptimizationResult", "C2BoundOptimizer",
            "split_budget"]
@@ -244,9 +245,9 @@ class C2BoundOptimizer:
         best = point(int(res.x))
         curve: tuple[DesignPoint, ...] = ()
         if record_curve:
-            ns = np.unique(np.clip(np.round(
+            ns = unique_ints(np.clip(np.round(
                 np.geomspace(max(n_min, 1), n_max, 48)).astype(int),
                 n_min, n_max))
-            curve = tuple(point(int(n)) for n in ns)
+            curve = tuple(point(n) for n in ns)
         return OptimizationResult(best=best, regime=regime, case=case,
                                   evaluations=len(cache), curve=curve)

@@ -26,6 +26,7 @@ from repro.dse.space import DesignSpace, Parameter
 from repro.io.results import ResultTable
 from repro.laws.gfunction import PowerLawG
 from repro.obs import get_registry, get_tracer
+from repro.solvers.grid import unique_ints
 
 __all__ = ["run_fig12", "fluidanimate_space", "fluidanimate_profile",
            "Fig12Outcome"]
@@ -51,7 +52,7 @@ def fluidanimate_space(values_per_param: int = 10) -> DesignSpace:
 
     def igrid(lo: int, hi: int) -> tuple:
         import numpy as np
-        vals = np.unique(np.round(np.geomspace(lo, hi, k)).astype(int))
+        vals = unique_ints(np.round(np.geomspace(lo, hi, k)).astype(int))
         # Pad to exactly k distinct values if rounding collapsed some.
         extras = [v for v in range(lo, hi + 1) if v not in vals]
         vals = sorted(set(vals) | set(extras[: k - len(vals)]))

@@ -182,6 +182,13 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def workload_json(workload) -> str:
+    """Compact JSON of a workload's :func:`fingerprint`: the workload
+    part of every cache key payload, and of the per-process stream memo
+    key in :mod:`repro.sim.cmp`."""
+    return _dumps(fingerprint(workload))
+
+
 def sim_cache_keys(chips, workload, seed: int) -> "list[str]":
     """Content hashes addressing ``simulate_chip_cost`` results of many
     chips under one workload and seed — the one key payload builder.
@@ -196,7 +203,7 @@ def sim_cache_keys(chips, workload, seed: int) -> "list[str]":
     """
     chips = list(chips)  # ids stay unique only while the chips are alive
     head = '["simulate_chip_cost",' + _dumps(SIM_MODEL_VERSION) + ","
-    tail = "," + _dumps(fingerprint(workload)) + "," + _dumps(int(seed)) + "]"
+    tail = "," + workload_json(workload) + "," + _dumps(int(seed)) + "]"
     memo: "dict[int, str]" = {}
     keys = []
     for chip in chips:

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import gc
 import heapq
+import threading
 from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,7 +30,66 @@ from repro.sim.core import CoreModel, CoreResult
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.kernel import KernelStats, kernel_eligible, run_epoch_kernel
 
-__all__ = ["CMPSimulator", "SimulationResult", "simulate_chip_cost"]
+__all__ = ["CMPSimulator", "SimulationResult", "StreamMemo",
+           "simulate_chip_cost"]
+
+
+class StreamMemo:
+    """The last few ``workload.streams(n_cores, default_rng(seed))`` draws.
+
+    Streams depend only on the workload, the core count and the seed,
+    and every point of an APS search shares all three, so one draw
+    serves the whole search.  Entries are keyed on the workload's
+    fingerprint JSON (the workload part of a result-cache key), the
+    core count and the seed; the ``entries`` most recently used are
+    kept.  Their arrays are read-only, so no caller can change what the
+    next one reads.  Safe to share between threads: a miss draws
+    outside the lock, and of two threads that miss on one key, the
+    second to finish returns the first one's (equal) draw.
+    """
+
+    def __init__(self, entries: int) -> None:
+        self.entries = entries
+        self._streams: "OrderedDict[tuple, tuple]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._streams)
+
+    def streams(self, workload, n_cores: int, seed: int) -> tuple:
+        """Per-core streams, drawn on a miss and shared on a hit."""
+        from repro.sim.cache_store import workload_json
+
+        key = (workload_json(workload), n_cores, int(seed))
+        with self._lock:
+            streams = self._streams.get(key)
+            if streams is not None:
+                self._streams.move_to_end(key)
+                return streams
+        streams = tuple(
+            tuple(_read_only(column) for column in stream)
+            for stream in workload.streams(n_cores,
+                                           np.random.default_rng(seed)))
+        with self._lock:
+            stored = self._streams.get(key)
+            if stored is not None:  # another thread drew it meanwhile
+                self._streams.move_to_end(key)
+                return stored
+            while len(self._streams) >= self.entries:
+                self._streams.popitem(last=False)
+            self._streams[key] = streams
+        return streams
+
+
+def _read_only(column) -> np.ndarray:
+    column = np.asarray(column)
+    column.flags.writeable = False
+    return column
+
+
+#: The process's stream memo: a handful of entries covers a search (one
+#: core count) or a pool worker's share of a sweep (a few core counts).
+_STREAMS = StreamMemo(entries=4)
 
 
 def simulate_chip_cost(chip: SimulatedChip, workload, seed: int) -> float:
@@ -38,12 +99,14 @@ def simulate_chip_cost(chip: SimulatedChip, workload, seed: int) -> float:
     pickle the ``(chip, workload, seed)`` triple and fan design points
     across workers: this is the unit of work
     :class:`repro.dse.fabric.FabricEvaluator` dispatches.  Streams are
-    drawn from a generator seeded per call, so the cost of a
+    drawn from a generator seeded per draw, so the cost of a
     configuration is a pure function of its arguments — identical in
-    every process.
+    every process.  Draws are shared through the process's
+    :class:`StreamMemo`, so points with the same core count, workload
+    and seed draw their streams once.
     """
-    rng = np.random.default_rng(seed)
-    result = CMPSimulator(chip).run(workload.streams(chip.n_cores, rng))
+    result = CMPSimulator(chip).run(
+        _STREAMS.streams(workload, chip.n_cores, seed))
     instructions = result.total_instructions
     if instructions == 0:
         return float("inf")

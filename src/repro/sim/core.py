@@ -126,7 +126,28 @@ class CoreResult:
 
 
 class CoreModel:
-    """Stepwise executor for one core (driven by the CMP event loop)."""
+    """Stepwise executor for one core (driven by the CMP event loop).
+
+    The layout is fixed (``__slots__``): a 256-core chip builds 256 of
+    these per run, and a per-instance ``__dict__`` of about 35 entries
+    was one of the largest allocation sites at a run's peak.  Two
+    members exist only when used: the ROB deque ``_outstanding`` is
+    ``None`` until the first :meth:`step` (the epoch kernel keeps its
+    own ROB window and builds the deque only at a fallback seam), and
+    ``_prefetched_lines`` only when the L1 has a prefetcher.
+    """
+
+    __slots__ = (
+        "core_id", "micro", "l1", "mshr", "_issue_width", "_rob_size",
+        "_line_bytes", "_l1_banks", "_hit_latency", "_mshr_entries",
+        "_mshr_pending", "_mshr_heap", "addresses", "gaps", "writes",
+        "instr_index", "_base_issue", "_n_ops", "_next", "_bank_free",
+        "_outstanding", "_starts", "_penalties", "_last_done",
+        "_retire_op", "_retire_max", "_issue_barrier", "_prefetcher",
+        "_prefetched_lines", "prefetches_issued", "prefetches_useful",
+        # Lazily boxed per-op columns (see __getattr__).
+        "_addr_list", "_instr_list", "_write_list",
+    )
 
     def __init__(self, core_id: int, micro: CoreMicroConfig,
                  l1_config: CacheConfig,
@@ -188,7 +209,9 @@ class CoreModel:
         self._next = 0
         self._bank_free = (shared_banks if shared_banks is not None
                            else [0] * l1_config.banks)
-        self._outstanding: deque[tuple[int, int]] = deque()  # (instr idx, done)
+        # (instr idx, done) pairs of the ROB window; created by the
+        # first step, so a core the kernel drains alone never has one.
+        self._outstanding: "deque[tuple[int, int]] | None" = None
         # Preallocated, zeroed record columns: op ``j``'s start cycle
         # and miss penalty (its hit cycles are ``_hit_latency``).  Both
         # the scalar path and the epoch kernel (:mod:`repro.sim.kernel`)
@@ -211,12 +234,14 @@ class CoreModel:
             self._prefetcher = StridePrefetcher(l1_config.prefetch_degree)
         else:
             self._prefetcher = None
-        self._prefetched_lines: set[int] = set()
+        if self._prefetcher is not None:
+            self._prefetched_lines: set[int] = set()
         self.prefetches_issued = 0
         self.prefetches_useful = 0
 
     def __getattr__(self, name: str):
-        # Lazily boxed per-op columns, cached on first access.  The
+        # Lazily boxed per-op columns, cached on first access (their
+        # slots start unset, so only the first read lands here).  The
         # epoch kernel reads ``_write_list`` too; ``_addr_list`` and
         # ``_instr_list`` are read only by the scalar ``step``/``advance``
         # and by a peek with a non-empty ROB window, so a kernel run
@@ -230,7 +255,7 @@ class CoreModel:
         else:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.__dict__[name] = value
+        setattr(self, name, value)
         return value
 
     # ----- event-loop interface -------------------------------------------
@@ -319,6 +344,8 @@ class CoreModel:
             self._retire_max = 0
         bound = idx - self._rob_size
         outstanding = self._outstanding
+        if outstanding is None:
+            outstanding = self._outstanding = deque()
         committed = self._retire_max
         while outstanding and outstanding[0][0] <= bound:
             done_t = outstanding.popleft()[1]

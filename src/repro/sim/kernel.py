@@ -39,10 +39,11 @@ digests and seeded corpus of ``tests/sim/test_differential_golden.py``):
   the in-order-commit watermark pops become two list indexes, and the
   per-op append disappears.  The ring is a power-of-two list longer
   than the ROB (or the core's op count, if smaller), so the window,
-  at most ``rob_size`` ops, never wraps onto itself.  The live deque
-  is materialized from the ``[p, j)`` window only at fallback seams,
-  so the scalar path always sees its exact state; a finished core's
-  deque is left empty (nothing reads it again).
+  at most ``rob_size`` ops, never wraps onto itself.  A core holds no
+  deque until a fallback seam materializes one from a non-empty
+  ``[p, j)`` window, so the scalar path always sees its exact state
+  and a run with no fallback creates no deque; a finished core is left
+  without one (nothing reads it again).
 - **Monolithic inlining** — the L1 lookup, MSHR probe/retire/allocate,
   MSI-lite directory bookkeeping, L2 slice lookup, DRAM bank/row-buffer
   timing and NoC latency lookup are inlined into one loop body
@@ -94,6 +95,7 @@ pins what both must compute.
 from __future__ import annotations
 
 from array import array
+from collections import deque
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
@@ -222,12 +224,13 @@ def _reload_core(state: list) -> None:
 
     Called after any scalar execution (initial peeks, fallback
     ``advance``): the ROB pointer is re-derived from the deque length —
-    the deque always holds exactly the ops ``[p, core._next)`` — and
-    the completion column is refreshed from the deque pairs (covering
-    the op the scalar path just processed).
+    the deque always holds exactly the ops ``[p, core._next)``, and a
+    core without one has an empty window — and the completion column
+    is refreshed from the deque pairs (covering the op the scalar path
+    just processed).  It creates no deque.
     """
     core = state[23]
-    out = core._outstanding
+    out = core._outstanding or ()
     p = core._next - len(out)
     dones = state[6]
     mask = len(dones) - 1
@@ -244,9 +247,11 @@ def _reload_core(state: list) -> None:
 def _flush_core(state: list) -> None:
     """Push the mutable tail back into the live core objects.
 
-    Materializes the ``_outstanding`` deque from the ``[p, j)`` window
-    so a fallback ``advance`` sees exactly the state the scalar loop
-    would have left.  A finished core's deque is left empty instead:
+    Materializes the ``_outstanding`` deque from a non-empty ``[p, j)``
+    window so a fallback ``advance`` sees exactly the state the scalar
+    loop would have left; an empty window leaves the core without a
+    deque (``None``, which the scalar path reads as empty and replaces
+    at its next ``step``).  A finished core is left without one too:
     nothing reads it again (``step``, ``advance`` and the peek refuse a
     finished core, ``result`` reads ``_last_done``), and building it
     would cost a tuple per pair at the end of every run.
@@ -268,13 +273,13 @@ def _flush_core(state: list) -> None:
     mshr.primary_misses = prim1
     mshr.secondary_merges = sec1
     mshr.stall_events = stall1
-    out = core._outstanding
-    out.clear()
-    if j < n_ops:
+    if p < j < n_ops:
         dones = state[6]
         mask = len(dones) - 1
-        out.extend(zip(state[3][p:j].tolist(),
-                       [dones[i & mask] for i in range(p, j)]))
+        core._outstanding = deque(zip(state[3][p:j].tolist(),
+                                      [dones[i & mask] for i in range(p, j)]))
+    else:
+        core._outstanding = None
 
 
 class _HierState:
@@ -393,8 +398,8 @@ def run_epoch_kernel(cores: "list[CoreModel]",
 
     On return every core is drained (``core.done``) and every model
     object holds exactly the state the scalar loop would have left,
-    except that each core's ROB deque, which nothing reads after the
-    core's last op, is empty.
+    except that no core holds a ROB deque, which nothing reads after
+    the core's last op.
     The caller, :meth:`repro.sim.cmp.CMPSimulator.run`, pauses the
     collector for the whole run, this drain included.
     """

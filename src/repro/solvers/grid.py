@@ -9,6 +9,7 @@ the analytic optimizer (over the integer core count) and by APS itself
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -17,7 +18,17 @@ import numpy as np
 from repro.errors import InvalidParameterError
 
 __all__ = ["GridResult", "grid_minimize", "grid_refine_minimize",
-           "integer_minimize"]
+           "integer_minimize", "unique_ints"]
+
+
+def unique_ints(values: np.ndarray) -> "list[int]":
+    """Distinct values of an integer array, ascending, as Python ints.
+
+    Equal to ``np.unique(values).tolist()``, without ``np.unique``: on
+    NumPy 2.4 its first call imports ``numpy.ma`` (about 1 MiB), which
+    the design-space search otherwise never needs.
+    """
+    return sorted(set(values.tolist()))
 
 
 @dataclass(frozen=True)
@@ -136,14 +147,14 @@ def integer_minimize(
 
     cur_lo, cur_hi = lo, hi
     while cur_hi - cur_lo + 1 > 64:
-        pts = np.unique(np.clip(np.round(
+        pts = unique_ints(np.clip(np.round(
             np.geomspace(max(cur_lo, 1), cur_hi, 32)).astype(int),
             cur_lo, cur_hi))
-        values = [(eval_at(int(n)), int(n)) for n in pts]
+        values = [(eval_at(n), n) for n in pts]
         _, x = min(values, key=lambda t: (t[0], t[1]))
-        idx = int(np.searchsorted(pts, x))
-        new_lo = int(pts[max(idx - 1, 0)])
-        new_hi = int(pts[min(idx + 1, len(pts) - 1)])
+        idx = bisect_left(pts, x)
+        new_lo = pts[max(idx - 1, 0)]
+        new_hi = pts[min(idx + 1, len(pts) - 1)]
         if (new_lo, new_hi) == (cur_lo, cur_hi):
             break
         cur_lo, cur_hi = new_lo, new_hi

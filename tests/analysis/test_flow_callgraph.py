@@ -206,14 +206,18 @@ def test_repo_flow_keeps_every_reexport_and_edge(repo_root):
     # nested-Brent area split (core.optimizer.split_budget) replaced
     # the three splits' six edges to brent_minimize and
     # InvalidParameterError with its own two, plus one from each split
-    # to it.
+    # to it.  The per-process stream memo added seven: the workload
+    # fingerprint JSON helper (sim_cache_keys -> workload_json, and its
+    # calls of fingerprint and _dumps), StreamMemo.streams' calls of it
+    # and of _read_only, and the np.unique replacement unique_ints,
+    # called by C2BoundOptimizer.optimize and integer_minimize.
     from repro._lazy import _reexports
     from repro.analysis.flow import get_flow
     from repro.analysis.source import load_project
 
     flow = get_flow(load_project([repo_root / "src"], root=repo_root))
     assert len(flow.graph.exports) == 305
-    assert sum(len(callees) for callees in flow.edges.values()) == 1361
+    assert sum(len(callees) for callees in flow.edges.values()) == 1368
     for init in (repo_root / "src" / "repro").rglob("__init__.py"):
         package = ".".join(init.parent.relative_to(repo_root / "src").parts)
         for name, (module, attr) in _reexports(str(init)).items():

@@ -72,6 +72,16 @@ class TestTraceReader:
         assert reader.read_all() == [events[-1]]
         assert reader.read_all() == []
 
+    def test_torn_tail_counts_once_per_poll_that_ends_at_it(
+            self, tmp_path, fresh_registry):
+        # One complete line plus a torn tail: the poll returns the line
+        # and counts the torn tail, as the metrics catalog says.
+        path = tmp_path / "t.jsonl"
+        events = _events(1)
+        path.write_bytes(_line(events[0]) + _line(events[1])[:-1])
+        assert TraceReader(path).poll() == [events[0]]
+        assert fresh_registry.counter("obs.stream.torn_tails").value == 1
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), n=st.integers(min_value=1, max_value=8))
     def test_any_chunk_schedule_equals_one_shot_read(

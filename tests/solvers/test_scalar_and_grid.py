@@ -17,6 +17,7 @@ from repro.solvers import (
     grid_refine_minimize,
     integer_minimize,
 )
+from repro.solvers.grid import unique_ints
 
 
 class TestGoldenSection:
@@ -108,3 +109,52 @@ class TestIntegerMinimize:
     def test_unimodal_exactness(self, target):
         res = integer_minimize(lambda n: abs(n - target), 1, 50000)
         assert res.x == target
+
+
+class TestUniqueInts:
+    """``unique_ints`` stands in for ``np.unique`` on the search path."""
+
+    @given(st.lists(st.integers(-2**40, 2**40), max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_np_unique(self, values):
+        a = np.asarray(values, dtype=np.int64)
+        got = unique_ints(a)
+        assert got == np.unique(a).tolist()
+        assert all(type(v) is int for v in got)
+
+    @pytest.mark.parametrize("lo,hi", [(1, 100), (1, 100000), (2, 256),
+                                       (37, 5000), (64, 129)])
+    def test_integer_minimize_coarse_pass_inputs(self, lo, hi):
+        a = np.clip(np.round(np.geomspace(max(lo, 1), hi, 32)).astype(int),
+                    lo, hi)
+        assert unique_ints(a) == np.unique(a).tolist()
+
+    def test_fluidanimate_space_matches_np_unique_grid(self):
+        from repro.experiments.fig12_aps import fluidanimate_space
+
+        def reference(lo, hi, k):
+            vals = np.unique(np.round(np.geomspace(lo, hi, k)).astype(int))
+            extras = [v for v in range(lo, hi + 1) if v not in vals]
+            vals = sorted(set(vals) | set(extras[: k - len(vals)]))
+            return tuple(int(v) for v in vals[:k])
+
+        for k in range(2, 13):
+            space = {p.name: p for p in fluidanimate_space(k).parameters}
+            for name, lo, hi in [("n", 2, 256), ("issue_width", 1, 10),
+                                 ("rob_size", 16, 512)]:
+                values = space[name].values
+                assert values == reference(lo, hi, k)
+                assert all(type(v) is int for v in values)
+
+    def test_optimizer_curve_matches_np_unique(self):
+        from repro.core.optimizer import C2BoundOptimizer
+        from repro.experiments.fig12_aps import fluidanimate_profile
+
+        app, machine = fluidanimate_profile()
+        opt = C2BoundOptimizer(app, machine)
+        n_max = opt.budget.max_feasible_cores()
+        for n_min in (1, 3):
+            curve = opt.optimize(n_min=n_min, record_curve=True).curve
+            ns = np.unique(np.clip(np.round(
+                np.geomspace(n_min, n_max, 48)).astype(int), n_min, n_max))
+            assert [p.config.n for p in curve] == ns.tolist()

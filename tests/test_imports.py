@@ -119,3 +119,26 @@ def test_every_exported_name_resolves(package):
         assert getattr(module, name) is not None, name
     assert set(module.__all__) <= set(dir(module))
     assert not hasattr(module, "no_such_name")
+
+
+def test_search_path_never_imports_numpy_ma():
+    # NumPy 2.4's np.unique imports numpy.ma (about 1 MiB) on first
+    # call; the APS path sorts Python ints instead at its three sites.
+    loaded = run_python(
+        "import json, sys\n"
+        "import numpy\n"
+        "eager = 'numpy.ma' in sys.modules\n"
+        "from repro.core.optimizer import C2BoundOptimizer\n"
+        "from repro.experiments.fig12_aps import (fluidanimate_profile,\n"
+        "                                         fluidanimate_space)\n"
+        "from repro.solvers.grid import integer_minimize\n"
+        "fluidanimate_space(10)\n"
+        "app, machine = fluidanimate_profile()\n"
+        "C2BoundOptimizer(app, machine).optimize(record_curve=True)\n"
+        "res = integer_minimize(lambda n: abs(n - 77777), 1, 10**6)\n"
+        "assert res.x == 77777\n"
+        "print(json.dumps([eager, 'numpy.ma' in sys.modules]))")
+    eager, loaded_ma = loaded
+    if eager:
+        pytest.skip("this NumPy imports numpy.ma with numpy itself")
+    assert not loaded_ma
