@@ -14,7 +14,11 @@ The graph is built in two passes over an already-parsed
    ``self.x = ClassName(...)`` assignments anywhere in the class body
    (conditional expressions contribute both arms; conflicting
    assignments degrade to *unknown*).  Base classes are resolved so
-   method lookup can walk the inheritance chain.
+   method lookup can walk the inheritance chain.  A module-level
+   instance, ``NAME = ClassName(...)`` bound once and never rebound
+   through ``global``, is typed the same way on lookup
+   (:meth:`CallGraph.resolve_instance`), so ``NAME.method(...)``
+   resolves.
 
 Resolution is deliberately *under*-approximate: a call the resolver
 cannot attribute to a project function produces no edge (and is listed
@@ -82,6 +86,9 @@ class ModuleInfo:
     globals: "dict[str, bool]" = field(default_factory=dict)
     #: names of module-level defs (functions and classes)
     defs: "set[str]" = field(default_factory=set)
+    #: top-level global name -> its value, where bound exactly once at
+    #: module level and never rebound through ``global``
+    bindings: "dict[str, ast.expr]" = field(default_factory=dict)
 
 
 _MUTABLE_CTORS = {"list", "dict", "set", "collections.OrderedDict",
@@ -183,6 +190,7 @@ class CallGraph:
         mod = ModuleInfo(name=source.module, source=source,
                          imports=module_imports(source))
         is_pkg_init = source.path.name == "__init__.py"
+        bindings: "dict[str, list[ast.expr | None]]" = {}
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qual = f"{mod.name}.{node.name}" if mod.name else node.name
@@ -213,12 +221,19 @@ class CallGraph:
                 value = node.value
                 for target in targets:
                     if isinstance(target, ast.Name):
+                        bindings.setdefault(target.id, []).append(value)
                         mutable = (value is not None and
                                    _is_mutable_literal(value, mod.imports))
                         mod.globals.setdefault(target.id, False)
                         if mutable:
                             mod.globals[target.id] = True
                         mod.defs.add(target.id)
+        rebound = {name for node in ast.walk(tree)
+                   if isinstance(node, ast.Global) for name in node.names}
+        for name, values in bindings.items():
+            value = values[0]
+            if len(values) == 1 and value is not None and name not in rebound:
+                mod.bindings[name] = value
         if is_pkg_init and mod.name:
             # A package that loads its re-exports lazily (repro._lazy)
             # lists them under `if TYPE_CHECKING:`; that block is its
@@ -326,6 +341,19 @@ class CallGraph:
         if kind in ("any", "class") and dotted in self.classes:
             return dotted
         return None
+
+    def resolve_instance(self, dotted: str) -> "str | None":
+        """Class qual of the module-level instance a dotted name names.
+
+        Only a name bound once, to a constructor call of a project
+        class, has one; see :attr:`ModuleInfo.bindings`.
+        """
+        module, _, name = self.resolve_export(dotted).rpartition(".")
+        mod = self.modules.get(module)
+        if mod is None or name not in mod.bindings:
+            return None
+        types = self._constructed_classes(mod.bindings[name], mod, {})
+        return types.pop() if len(types) == 1 else None
 
     def resolve_method(self, class_qual: str,
                        method: str) -> "str | None":

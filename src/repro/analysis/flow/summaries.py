@@ -122,11 +122,19 @@ class _FunctionScanner(ast.NodeVisitor):
     def _expr_class(self, expr: ast.expr) -> "str | None":
         """Best-effort class qual of an expression's value."""
         if isinstance(expr, ast.Name):
-            return self.env.get(expr.id)
+            if expr.id in self.env or expr.id in self.locals:
+                return self.env.get(expr.id)
+            return self.graph.resolve_instance(
+                self.graph.canonicalize(expr.id, self.mod))
         if isinstance(expr, ast.Attribute):
             owner = self._expr_class(expr.value)
             if owner is None:
-                return None
+                name = dotted_name(expr)
+                if name is None or self._is_local_head(name):
+                    return None
+                # `module.NAME` where NAME is a module-level instance
+                return self.graph.resolve_instance(
+                    self.graph.canonicalize(name, self.mod))
             seen: "set[str]" = set()
             stack = [owner]
             while stack:

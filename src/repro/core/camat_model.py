@@ -18,13 +18,16 @@ analytic sweeps, Figs. 8-11).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.camat.camat import CAMATParameters
 from repro.capacity.area import AreaModel
 from repro.capacity.missrate import PowerLawMissRate
 from repro.errors import InvalidParameterError
+
+if TYPE_CHECKING:
+    from repro.camat.camat import CAMATParameters
 
 __all__ = ["HierarchyLatencies", "CAMATModel"]
 
@@ -107,6 +110,8 @@ class CAMATModel:
         Sets ``C_H = C_M = C``, ``pMR = MR1`` and ``pAMP = AMP`` so that
         the bundle's ``value`` equals :meth:`camat` exactly.
         """
+        from repro.camat.camat import CAMATParameters
+
         if concurrency < 1.0:
             raise InvalidParameterError(
                 f"concurrency must be >= 1, got {concurrency}")

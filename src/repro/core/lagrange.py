@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,7 +28,9 @@ from repro.core.constraints import pollack_cpi
 from repro.core.objective import objective_jd
 from repro.core.params import ApplicationProfile, MachineParameters
 from repro.errors import InvalidParameterError
-from repro.solvers import NewtonResult, newton_solve
+
+if TYPE_CHECKING:
+    from repro.solvers.newton import NewtonResult
 
 __all__ = ["LagrangianSystem"]
 
@@ -151,6 +154,8 @@ class LagrangianSystem:
         The default initial guess splits the per-core budget evenly and
         seeds ``lambda`` from the A0 gradient.
         """
+        from repro.solvers.newton import newton_solve
+
         budget = self.machine.core_budget_area / n
         if budget <= (self.machine.min_core_area
                       + 2 * self.machine.min_cache_area):

@@ -44,7 +44,6 @@ from repro.dse.evaluate import (
     batch_evaluate,
     is_feasible,
 )
-from repro.dse.fabric import make_pool_evaluator
 from repro.dse.space import DesignSpace, Parameter
 from repro.errors import DeadlineExceededError, InvalidParameterError
 from repro.laws.gfunction import PowerLawG
@@ -293,6 +292,8 @@ def run_job(spec: dict, *, checkpoint_path=None, resume: bool = False,
     pooled = None
     inner = evaluator
     if workers > 1:
+        # Only a pool run loads the fabric (and multiprocessing).
+        from repro.dse.fabric import make_pool_evaluator
         pooled = inner = make_pool_evaluator(evaluator, workers=workers,
                                              deadline=deadline)
     guard = JobGuard(inner, deadline=deadline, on_progress=on_progress)

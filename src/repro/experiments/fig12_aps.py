@@ -15,18 +15,18 @@ Xeons for four weeks).  The reproduction targets the *ratios*: APS sims
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.params import ApplicationProfile, MachineParameters
-from repro.dse.ann import ANNPredictorSearch
 from repro.dse.aps import APSExplorer
 from repro.dse.evaluate import BudgetedEvaluator, SurrogateEvaluator
-from repro.dse.ga import genetic_search
-from repro.dse.rsm import response_surface_search
 from repro.dse.space import DesignSpace, Parameter
-from repro.io.results import ResultTable
 from repro.laws.gfunction import PowerLawG
 from repro.obs import get_registry, get_tracer
 from repro.solvers.grid import unique_ints
+
+if TYPE_CHECKING:
+    from repro.io.results import ResultTable
 
 __all__ = ["run_fig12", "fluidanimate_space", "fluidanimate_profile",
            "Fig12Outcome"]
@@ -95,7 +95,15 @@ def run_fig12(*, values_per_param: int = 10,
 
     Errors are relative to the surrogate ground truth's global optimum
     (found by exact enumeration, which the surrogate makes affordable).
+    The ANN, GA and RSM baselines are imported here, so the APS path
+    (:func:`fluidanimate_profile`, :func:`fluidanimate_space`) never
+    loads them.
     """
+    from repro.dse.ann import ANNPredictorSearch
+    from repro.dse.ga import genetic_search
+    from repro.dse.rsm import response_surface_search
+    from repro.io.results import ResultTable
+
     tracer = get_tracer()
     app, machine = fluidanimate_profile()
     space = fluidanimate_space(values_per_param)

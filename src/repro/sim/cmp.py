@@ -17,18 +17,23 @@ from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.camat.analyzer import TraceAnalyzer, TraceStatistics
-from repro.camat.trace import AccessTrace
 from repro.errors import SimulationError
-from repro.metrics.apc import APCMeasurement, LayerAPC
 from repro.obs import get_registry, get_tracer
 from repro.sim.config import SimulatedChip
 from repro.sim.core import CoreModel, CoreResult
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.kernel import KernelStats, kernel_eligible, run_epoch_kernel
+
+# Trace analysis and APC load on first use: a cost-only run, every
+# point of a search, never builds a trace (tests/test_imports.py).
+if TYPE_CHECKING:
+    from repro.camat.analyzer import TraceStatistics
+    from repro.camat.trace import AccessTrace
+    from repro.metrics.apc import APCMeasurement, LayerAPC
 
 __all__ = ["CMPSimulator", "SimulationResult", "StreamMemo",
            "simulate_chip_cost"]
@@ -162,6 +167,8 @@ class SimulationResult:
         cost-only run never builds it.  Every access's hit cycles are
         the slice hit latency.
         """
+        from repro.camat.trace import AccessTrace
+
         if not self.l2_records:
             return None
         starts, penalties = _pair_columns(self.l2_records)
@@ -177,6 +184,8 @@ class SimulationResult:
         Built on first read like :attr:`l2_trace`; each access is one
         hit window of its latency (at least one cycle).
         """
+        from repro.camat.trace import AccessTrace
+
         if not self.dram_records:
             return None
         starts, latencies = _pair_columns(self.dram_records)
@@ -209,6 +218,8 @@ class SimulationResult:
 
     def core_stats(self, core_id: int) -> TraceStatistics:
         """Full C-AMAT statistics of one core's trace (memoized)."""
+        from repro.camat.analyzer import TraceAnalyzer
+
         cache = self.__dict__.get("_stats_cache")
         if cache is None:
             cache = {}
@@ -234,6 +245,9 @@ class SimulationResult:
         cached = self.__dict__.get("_layer_apc_cache")
         if cached is not None:
             return cached
+        from repro.camat.analyzer import TraceAnalyzer
+        from repro.metrics.apc import APCMeasurement, LayerAPC
+
         analyzer = TraceAnalyzer()
         # Same collector pause as CMPSimulator.run: the analyzer sweep
         # allocates only arrays that stay live until the measurement is

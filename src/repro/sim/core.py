@@ -31,16 +31,20 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.camat.trace import AccessTrace
 from repro.errors import SimulationError
 from repro.sim.cache import SetAssociativeCache
 from repro.sim.config import CacheConfig, CoreMicroConfig
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.mshr import MSHRFile
-from repro.sim.prefetch import NextLinePrefetcher, StridePrefetcher
+
+# AccessTrace and the prefetchers load on first use: a cost-only run
+# builds no trace, and the default L1 has no prefetcher.
+if TYPE_CHECKING:
+    from repro.camat.trace import AccessTrace
 
 __all__ = ["CoreModel", "CoreResult"]
 
@@ -116,6 +120,8 @@ class CoreResult:
         if cached is None:
             if not self.mem_ops:
                 raise SimulationError("core executed no memory operations")
+            from repro.camat.trace import AccessTrace
+
             cached = AccessTrace.from_arrays(
                 np.frombuffer(self.starts, dtype=np.int64),
                 np.full(self.mem_ops, self.hit_latency, dtype=np.int64),
@@ -229,8 +235,10 @@ class CoreModel:
         # until an entry frees, so younger ops cannot issue past this cycle.
         self._issue_barrier = 0
         if l1_config.prefetch == "nextline":
+            from repro.sim.prefetch import NextLinePrefetcher
             self._prefetcher = NextLinePrefetcher(l1_config.prefetch_degree)
         elif l1_config.prefetch == "stride":
+            from repro.sim.prefetch import StridePrefetcher
             self._prefetcher = StridePrefetcher(l1_config.prefetch_degree)
         else:
             self._prefetcher = None

@@ -1,5 +1,6 @@
 """Call-graph construction: aliased imports, re-exports, decorators,
-method calls through ``self``, annotation- and attribute-based typing.
+method calls through ``self``, annotation- and attribute-based typing,
+and module-level instances.
 
 One fixture package exercises every resolution path the flow rules lean
 on; the assertions pin resolved *edges* (what the rules consume), not
@@ -35,6 +36,27 @@ PKG = {
 
         def run(self):
             return self.shared()
+
+
+    TOOL = Tool()
+    SWAPPED = Tool()
+
+
+    def via_own_instance():
+        return TOOL.run()
+
+
+    def swap():
+        global SWAPPED
+        SWAPPED = Base()
+
+
+    def via_swapped_instance():
+        return SWAPPED.run()
+
+
+    def via_shadowed_instance(TOOL):
+        return TOOL.run()
     ''',
     "pkg/api/__init__.py": "from pkg.util import helper as exported\n",
     "pkg/lazyapi/__init__.py": '''\
@@ -63,7 +85,7 @@ PKG = {
     from pkg.lazyapi import lazily
 
     from . import util
-    from .util import Tool, deco
+    from .util import TOOL, Tool, deco
 
 
     @deco
@@ -89,6 +111,20 @@ PKG = {
 
     def opaque(x):
         return json.dumps(x)
+
+
+    def via_imported_instance():
+        return TOOL.run()
+
+
+    def via_module_instance():
+        return util.TOOL.run()
+
+
+    def nested_def():
+        def inner():
+            return util.helper()
+        return inner
 
 
     class Engine:
@@ -211,13 +247,30 @@ def test_repo_flow_keeps_every_reexport_and_edge(repo_root):
     # calls of fingerprint and _dumps), StreamMemo.streams' calls of it
     # and of _read_only, and the np.unique replacement unique_ints,
     # called by C2BoundOptimizer.optimize and integer_minimize.
+    # Typing module-level instances (`NAME = Class(...)`) added four:
+    # the edge it exists for, simulate_chip_cost ->
+    # StreamMemo.streams (called as `_STREAMS.streams(...)`), and the
+    # resolver's own three (CallGraph.resolve_instance ->
+    # resolve_export and -> _constructed_classes, and
+    # _FunctionScanner._expr_class -> resolve_instance).  Moving the
+    # search paths' analysis imports into the functions that use them
+    # lost no edge: function-level imports are module aliases to the
+    # resolver, so run_fig12 still reaches genetic_search and
+    # LagrangianSystem.solve newton_solve.
     from repro._lazy import _reexports
     from repro.analysis.flow import get_flow
     from repro.analysis.source import load_project
 
     flow = get_flow(load_project([repo_root / "src"], root=repo_root))
     assert len(flow.graph.exports) == 305
-    assert sum(len(callees) for callees in flow.edges.values()) == 1368
+    assert sum(len(callees) for callees in flow.edges.values()) == 1372
+    edges = flow.edges
+    assert "repro.sim.cmp.StreamMemo.streams" in \
+        edges["repro.sim.cmp.simulate_chip_cost"]
+    assert "repro.dse.ga.genetic_search" in \
+        edges["repro.experiments.fig12_aps.run_fig12"]
+    assert "repro.solvers.newton.newton_solve" in \
+        edges["repro.core.lagrange.LagrangianSystem.solve"]
     for init in (repo_root / "src" / "repro").rglob("__init__.py"):
         package = ".".join(init.parent.relative_to(repo_root / "src").parts)
         for name, (module, attr) in _reexports(str(init)).items():
@@ -250,6 +303,31 @@ def test_constructor_call_edges_to_init(flow):
 def test_annotated_param_method_call_resolves(flow):
     # poke(t: Tool) → t.shared() lands on the base-class method
     assert flow.edges["pkg.core.Engine.poke"] == {"pkg.util.Base.shared"}
+
+
+def test_module_level_instance_method_call_resolves(flow):
+    # `TOOL = Tool()` bound once at module level types TOOL, whether it
+    # is called in its own module, imported by name, or reached through
+    # its module.
+    assert flow.graph.resolve_instance("pkg.util.TOOL") == "pkg.util.Tool"
+    for caller in ("pkg.util.via_own_instance",
+                   "pkg.core.via_imported_instance",
+                   "pkg.core.via_module_instance"):
+        assert flow.edges[caller] == {"pkg.util.Tool.run"}, caller
+
+
+def test_rebound_or_shadowed_instance_adds_no_edge(flow):
+    # A global rebound through `global` may hold another class; a
+    # parameter named like the global is a different object.
+    assert flow.graph.resolve_instance("pkg.util.SWAPPED") is None
+    assert flow.edges["pkg.util.via_swapped_instance"] == set()
+    assert flow.edges["pkg.util.via_shadowed_instance"] == set()
+
+
+def test_nested_def_body_is_skipped(flow):
+    # The scanner's stated rule: a nested def binds a name and its body
+    # is not scanned, so its calls give the enclosing function no edge.
+    assert flow.edges["pkg.core.nested_def"] == set()
 
 
 def test_unresolvable_call_adds_no_edge(flow):

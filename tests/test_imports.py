@@ -59,6 +59,18 @@ def test_every_module_imports_in_isolation():
     assert report["failed"] == {}
 
 
+#: What the Fig. 12 experiment imports only to run the ANN/GA/RSM
+#: baselines and print its table.
+BASELINES = ["repro.dse.ann", "repro.dse.ga", "repro.dse.rsm",
+             "repro.io.results"]
+#: What a search never calls: C-AMAT trace analysis and APC (read only
+#: to analyse a result), the prefetchers (off in the default L1) and the
+#: Newton solver (only for ``refine_newton``).
+ANALYSIS = ["repro.camat.analyzer", "repro.camat.trace", "repro.camat.camat",
+            "repro.metrics.apc", "repro.sim.prefetch", "repro.solvers.newton"]
+#: The process pool, which only a run with more than one worker starts.
+POOL = ["repro.dse.fabric", "multiprocessing"]
+
 BUDGET = [
     ("repro.cli", ["numpy", "repro.sim"]),
     ("repro", ["repro.sim", "repro.obs.stream"]),
@@ -67,7 +79,16 @@ BUDGET = [
     ("repro.dse", ["repro.dse.ann", "repro.dse.ga", "repro.dse.rsm",
                    "repro.resilience.faults",
                    "repro.resilience.job_registry", "repro.experiments"]),
+    ("repro.experiments.fig12_aps", BASELINES),
+    ("repro.sim.cmp", ANALYSIS),
+    ("repro.service.server", POOL),
+    ("repro.dse.jobs", POOL),
 ]
+
+
+def _loaded(names: "list[str]", forbidden: "list[str]") -> "list[str]":
+    return [name for name in names
+            if any(name == f or name.startswith(f + ".") for f in forbidden)]
 
 
 @pytest.mark.parametrize("module,forbidden", BUDGET,
@@ -75,10 +96,130 @@ BUDGET = [
 def test_import_budget(module, forbidden):
     loaded = run_python(f"import json, sys, {module}\n"
                         "print(json.dumps(sorted(sys.modules)))")
-    pulled = [name for name in loaded
-              if any(name == f or name.startswith(f + ".")
-                     for f in forbidden)]
+    pulled = _loaded(loaded, forbidden)
     assert pulled == [], f"import {module} loaded {pulled}"
+
+
+def test_search_path_never_imports_analysis_modules():
+    # An APS search on the simulator, one design point through
+    # simulate_chip_cost and a one-worker simulator job run none of the
+    # trace analysis, Newton, prefetch, baseline or pool code.
+    loaded = run_python(
+        "import json, sys\n"
+        "from repro.dse.aps import APSExplorer\n"
+        "from repro.dse.evaluate import BudgetedEvaluator, "
+        "SimulatorEvaluator\n"
+        "from repro.dse.jobs import run_job\n"
+        "from repro.experiments.fig12_aps import (fluidanimate_profile,\n"
+        "                                         fluidanimate_space)\n"
+        "from repro.sim.cmp import simulate_chip_cost\n"
+        "from repro.workloads.parsec import parsec_like\n"
+        "app, machine = fluidanimate_profile()\n"
+        "evaluator = SimulatorEvaluator(parsec_like('fluidanimate', "
+        "n_ops=200),\n"
+        "                               seed=1, cache=None)\n"
+        "result = APSExplorer(app, machine, fluidanimate_space(3)).explore(\n"
+        "    BudgetedEvaluator(evaluator, method='aps'))\n"
+        "assert result.simulations > 0\n"
+        "chip = evaluator.chip_for(result.best_config)\n"
+        "assert simulate_chip_cost(chip, evaluator.workload, 1) == \\\n"
+        "    result.best_cost\n"
+        "job = run_job({'space': {'params': [\n"
+        "    {'name': 'a0', 'values': [2.0, 4.0]},\n"
+        "    {'name': 'n', 'values': [2, 4]}]},\n"
+        "    'evaluator': {'type': 'simulator', 'workload': 'gups',\n"
+        "                  'workload_args': {'updates': 400}, "
+        "'cache': None}},\n"
+        "    workers=1)\n"
+        "assert job['evaluations'] == 4\n"
+        "print(json.dumps(sorted(sys.modules)))")
+    assert _loaded(loaded, BASELINES + ANALYSIS + POOL) == []
+
+
+#: The entry points of the first-use cases below and a small
+#: simulation; importing them loads none of the modules the cases defer.
+FIRST_USE_PRELUDE = '''
+from dataclasses import replace
+
+import numpy as np
+
+from repro.core.camat_model import CAMATModel
+from repro.core.optimizer import C2BoundOptimizer
+from repro.dse.jobs import run_job
+from repro.experiments.fig12_aps import fluidanimate_profile, run_fig12
+from repro.sim.cmp import CMPSimulator
+from repro.sim.config import SimulatedChip
+from repro.workloads.parsec import parsec_like
+
+
+def simulate(prefetch="none"):
+    chip = SimulatedChip(n_cores=2)
+    chip = replace(chip, l1=replace(chip.l1, prefetch=prefetch))
+    streams = parsec_like("canneal", n_ops=300).streams(
+        2, np.random.default_rng(3))
+    return CMPSimulator(chip).run(streams)
+
+
+def columns(trace):
+    return [trace.starts.tolist(), trace.hit_lengths.tolist(),
+            trace.miss_penalties.tolist()]
+
+
+def fluidanimate_optimizer():
+    return C2BoundOptimizer(*fluidanimate_profile())
+'''
+
+#: (id, deferred module, expression whose value is compared).  Each
+#: expression is the first thing its process runs that needs the module.
+FIRST_USE = [
+    ("core_stats", "repro.camat.analyzer", "repr(simulate().core_stats(0))"),
+    ("layer_apc", "repro.metrics.apc", "repr(simulate().layer_apc())"),
+    ("l2_trace", "repro.camat.trace", "columns(simulate().l2_trace)"),
+    ("dram_trace", "repro.camat.trace", "columns(simulate().dram_trace)"),
+    ("core_trace", "repro.camat.trace",
+     "columns(simulate().cores[1].trace())"),
+    ("nextline_prefetch", "repro.sim.prefetch",
+     "[(c.finish_cycle, c.prefetches_issued, c.prefetches_useful)\n"
+     " for c in simulate('nextline').cores]"),
+    ("stride_prefetch", "repro.sim.prefetch",
+     "[(c.finish_cycle, c.prefetches_issued, c.prefetches_useful)\n"
+     " for c in simulate('stride').cores]"),
+    ("lagrangian_solve", "repro.solvers.newton",
+     "fluidanimate_optimizer().lagrangian.solve(16).x.tolist()"),
+    ("refine_newton", "repro.solvers.newton",
+     "repr(fluidanimate_optimizer().refine_newton(\n"
+     "    fluidanimate_optimizer().area_split(16)))"),
+    ("as_camat_params", "repro.camat.camat",
+     "repr(CAMATModel().as_camat_params(0.5, 2.0, 3.0))"),
+    ("run_fig12", "repro.dse.ga",
+     "repr(run_fig12(values_per_param=3, seed=0)[1])"),
+    ("run_job_pool", "repro.dse.fabric",
+     "run_job(\n"
+     "    {'space': {'params': [{'name': 'a0', 'values': [2, 4]},\n"
+     "                          {'name': 'a1', 'values': [1, 2]},\n"
+     "                          {'name': 'a2', 'values': [1, 2]},\n"
+     "                          {'name': 'n', 'values': [4, 8]}]}},\n"
+     "    workers=2)"),
+]
+
+
+@pytest.mark.parametrize("module,expression",
+                         [case[1:] for case in FIRST_USE],
+                         ids=[case[0] for case in FIRST_USE])
+def test_deferred_import_loads_on_first_use(module, expression):
+    # A fresh interpreter that has not loaded the module runs the
+    # feature first; it must load the module and give what this
+    # process, which imported everything eagerly, gives.
+    fresh = run_python(
+        FIRST_USE_PRELUDE
+        + "import json, sys\n"
+        + f"assert {module!r} not in sys.modules\n"
+        + f"value = ({expression})\n"
+        + f"assert {module!r} in sys.modules\n"
+        + "print(json.dumps(value))")
+    scope: dict = {}
+    exec(FIRST_USE_PRELUDE, scope)
+    assert fresh == json.loads(json.dumps(eval(expression, scope)))
 
 
 def test_reexport_shadowing_a_submodule_wins_in_any_order():
