@@ -1,8 +1,10 @@
 """CI check: the sweep fabric never changes a swept cost, anywhere.
 
 Runs two fixed design sweeps through every scheduling regime the fabric
-supports — inline (one slot), stealing on, stealing forced (``unit_size=1``),
-stealing disabled (fixed ownership), a mid-sweep worker crash, and a
+supports — inline (one slot), stealing on, stealing forced (``unit_size=1``
+on the points whose keys all route to one slot, so the other slots start
+idle and steal in the first scheduling round, however fast the workers
+run), stealing disabled (fixed ownership), a mid-sweep worker crash, and a
 journaled kill-then-resume round trip — and asserts every cost array is
 bit-identical (``np.array_equal`` on raw float64, no tolerance) to a
 plain per-point loop, with identical ``dse.evaluations`` accounting.  The steal schedule, crash
@@ -41,7 +43,7 @@ from repro.dse.evaluate import (
     SurrogateEvaluator,
     canonical_key,
 )
-from repro.dse.fabric import FabricEvaluator, config_keys
+from repro.dse.fabric import FabricEvaluator, config_keys, owner_of_shard
 from repro.dse.space import DesignSpace, Parameter
 from repro.laws.gfunction import PowerLawG
 from repro.obs import MetricsRegistry, set_registry
@@ -54,7 +56,7 @@ from repro.resilience import (
     config_token,
     load_journal,
 )
-from repro.sim.cache_store import SimCacheStore
+from repro.sim.cache_store import SimCacheStore, shard_of_key
 from repro.workloads.parsec import parsec_like
 
 NO_JITTER = RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0.0)
@@ -126,6 +128,20 @@ def _store_ok(evaluator, configs: "list[dict]") -> "tuple[bool, str]":
     return entries == distinct, f", entries={entries}/{distinct}"
 
 
+def _one_slot(evaluator, configs: "list[dict]", workers: int) -> "list[int]":
+    """Indices of the configurations routed to the busiest slot.
+
+    Fed only these, every other slot starts with an empty backlog, and
+    the fabric's first scheduling round (which submits to every free
+    slot before it waits on any result) makes them steal, provided the
+    busy slot holds at least two distinct keys.
+    """
+    owners = [owner_of_shard(shard_of_key(key), workers)
+              for key in config_keys(evaluator, configs)]
+    busiest = max(range(workers), key=owners.count)
+    return [i for i, owner in enumerate(owners) if owner == busiest]
+
+
 def _leg(builder, configs) -> "tuple[np.ndarray, int, dict]":
     """Run one scheduling regime under a fresh metrics registry.
 
@@ -169,16 +185,22 @@ def check_legs(case: Case, state_dir: Path,
     loop = case.evaluator(state_dir / "loop")
     reference = np.array([float(loop.evaluate(c)) for c in configs])
     evals_ref = len({canonical_key(c) for c in configs})
+    every = list(range(len(configs)))
+    one_slot = _one_slot(loop, configs, workers)
     failed = False
     for n, (label, builder) in enumerate(legs.items()):
+        picked = one_slot if "forced" in label else every
+        batch = [configs[i] for i in picked]
+        want = reference[picked]
+        want_evals = len({canonical_key(c) for c in batch})
         evaluator = case.evaluator(state_dir / f"leg-{n}")
-        costs, evals, counters = _leg(lambda: builder(evaluator), configs)
-        ok, detail = _store_ok(evaluator, configs)
-        ok = (ok and np.array_equal(costs, reference) and evals == evals_ref
-              and counters["dse.evaluations"] == evals_ref)
+        costs, evals, counters = _leg(lambda: builder(evaluator), batch)
+        ok, detail = _store_ok(evaluator, batch)
+        ok = (ok and np.array_equal(costs, want) and evals == want_evals
+              and counters["dse.evaluations"] == want_evals)
         if "forced" in label:
             steals = counters.get("dse.fabric.steals", 0)
-            detail += f", steals={steals}"
+            detail += f", points={len(batch)}, steals={steals}"
             ok = ok and steals > 0
         elif label == "fabric steal=off":
             ok = ok and not counters.get("dse.fabric.steals")
@@ -190,12 +212,12 @@ def check_legs(case: Case, state_dir: Path,
         print(f"  {label}: {'OK' if ok else 'DIVERGED'}{detail}")
         if not ok:
             failed = True
-            for i, (a, b) in enumerate(zip(costs, reference)):
+            for config, a, b in zip(batch, costs, want):
                 if a != b:
-                    print(f"    config {configs[i]}: {a!r} != {b!r}")
-            if evals != evals_ref:
+                    print(f"    config {config}: {a!r} != {b!r}")
+            if evals != want_evals:
                 print(f"    charged {evals} evaluations, expected "
-                      f"{evals_ref}")
+                      f"{want_evals}")
     return reference, evals_ref, failed
 
 

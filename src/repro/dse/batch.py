@@ -37,7 +37,11 @@ def chunked(items: Iterable, size: int) -> Iterator[list]:
     """Yield consecutive chunks of at most ``size`` items, in order.
 
     Streams lazily, so a 10^6-point design-space iterator is never
-    materialized whole — peak memory is one chunk.
+    materialized whole: the configurations in flight are one chunk.
+    A sweep still grows with its length, because the
+    :class:`~repro.dse.evaluate.BudgetedEvaluator` memo keeps every
+    charged point (about 125 B each for four parameters on CPython
+    3.11: the value tuple, the cost and its slot).
     """
     if size < 1:
         raise DesignSpaceError(f"chunk size must be >= 1, got {size}")

@@ -30,6 +30,7 @@ bit-for-bit (see ``docs/DSE_PERFORMANCE.md``).
 from __future__ import annotations
 
 import time
+from operator import itemgetter
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -72,10 +73,22 @@ def canonical_key(config: dict) -> tuple:
 
     Two dicts describing the same design point (whatever their key
     insertion order) share one key — the identity used by the
-    :class:`BudgetedEvaluator` memoization cache, so budget accounting
-    is exact under batching and duplicates are never re-simulated.
+    :class:`BudgetedEvaluator` memoization cache (which keeps it split
+    into the sorted names and the values in that order), so budget
+    accounting is exact under batching and duplicates are never
+    re-simulated.
     """
     return tuple(sorted(config.items()))
+
+
+def _values_getter(names: tuple):
+    """``config -> tuple of config[name] for name in names``."""
+    if len(names) == 1:
+        name = names[0]
+        return lambda config: (config[name],)
+    if not names:
+        return lambda config: ()
+    return itemgetter(*names)
 
 
 def batch_evaluate(evaluator, configs: Sequence[dict]) -> np.ndarray:
@@ -153,8 +166,15 @@ class BudgetedEvaluator:
         self.method = method
         self.evaluations = 0
         self.evaluations_cached = 0
-        self._cache: dict[tuple, float] = {}
-        self._restored_pending: set[tuple] = set()
+        # The memo, split by canonical_key(): sorted names -> (values in
+        # that order -> cost).  Two entries match exactly when their
+        # canonical keys are equal, at one tuple per point, not k + 1.
+        self._memo: dict[tuple, dict[tuple, float]] = {}
+        # Restored points whose replay is still to come, split the same
+        # way; a names entry goes when its last point replays.
+        self._pending: dict[tuple, set[tuple]] = {}
+        # Insertion-order names -> (sorted names, values getter).
+        self._orders: dict[tuple, tuple] = {}
         registry = get_registry()
         self._ctr_fresh = registry.counter("dse.evaluations")
         self._ctr_cached = registry.counter("dse.evaluations_cached")
@@ -189,7 +209,7 @@ class BudgetedEvaluator:
             if opened is None:
                 return
             self._journal, entries = opened
-        elif hasattr(checkpoint, "append_evals"):
+        elif hasattr(checkpoint, "append_eval_rows"):
             # Any live journal-shaped object attaches directly: a
             # CheckpointJournal or a test double — the budget path only
             # ever appends.
@@ -206,17 +226,21 @@ class BudgetedEvaluator:
     def restore(self, entries) -> None:
         """Warm the cache from a journal ledger of ``(key, cost)`` pairs.
 
-        Restored points are marked pending-replay: the search's first
-        hit on each is accounted as the fresh charge it was in the
-        interrupted run (and not re-journaled), keeping budget
-        accounting exactly-once across the interruption.
+        Keys are :func:`canonical_key` tuples.  Restored points are
+        marked pending-replay: the search's first hit on each is
+        accounted as the fresh charge it was in the interrupted run (and
+        not re-journaled), keeping budget accounting exactly-once across
+        the interruption.
         """
         restored = 0
         for key, cost in entries:
-            if key in self._cache:
+            names = tuple(name for name, _ in key)
+            values = tuple(value for _, value in key)
+            memo = self._memo.setdefault(names, {})
+            if values in memo:
                 continue
-            self._cache[key] = float(cost)
-            self._restored_pending.add(key)
+            memo[values] = float(cost)
+            self._pending.setdefault(names, set()).add(values)
             restored += 1
         self._ctr_restored.inc(restored)
 
@@ -225,89 +249,122 @@ class BudgetedEvaluator:
         if self._journal is not None:
             self._journal.close()
 
+    def _split(self, config: dict) -> "tuple[tuple, tuple]":
+        """``config`` as (sorted names, values in that order): the two
+        halves of its :func:`canonical_key`."""
+        order = tuple(config)
+        plan = self._orders.get(order)
+        if plan is None:
+            names = tuple(sorted(order))
+            plan = self._orders[order] = (names, _values_getter(names))
+        names, values_of = plan
+        return names, values_of(config)
+
+    def _memo_for(self, names: tuple) -> "dict[tuple, float]":
+        memo = self._memo.get(names)
+        if memo is None:
+            memo = self._memo[names] = {}
+        return memo
+
+    def _replays(self, names: tuple, values: tuple) -> bool:
+        """Whether a memo hit is the first on a restored point (and
+        consume its pending mark)."""
+        pending = self._pending.get(names)
+        if pending is None or values not in pending:
+            return False
+        pending.remove(values)
+        if not pending:
+            del self._pending[names]
+        return True
+
+    def _charge(self, n: int) -> None:
+        self.evaluations += n
+        self._ctr_fresh.inc(n)
+        if self._ctr_fresh_method is not None:
+            self._ctr_fresh_method.inc(n)
+
     def evaluate(self, config: dict) -> float:
-        key = canonical_key(config)
-        cached = self._cache.get(key)
+        names, values = self._split(config)
+        memo = self._memo_for(names)
+        cached = memo.get(values)
         if cached is not None:
-            if key in self._restored_pending:
+            if self._pending and self._replays(names, values):
                 # Replay of a checkpointed charge: account it as the
                 # fresh evaluation it was; the journal already has it.
-                self._restored_pending.discard(key)
-                self.evaluations += 1
-                self._ctr_fresh.inc()
-                if self._ctr_fresh_method is not None:
-                    self._ctr_fresh_method.inc()
+                self._charge(1)
             else:
                 self.evaluations_cached += 1
                 self._ctr_cached.inc()
             return cached
         cost = float(self.inner.evaluate(config))
-        self._cache[key] = cost
-        self.evaluations += 1
-        self._ctr_fresh.inc()
-        if self._ctr_fresh_method is not None:
-            self._ctr_fresh_method.inc()
+        memo[values] = cost
+        self._charge(1)
         if self._journal is not None:
-            self._journal.append_eval(key, cost)
+            self._journal.append_eval_rows([(names, values, cost)])
         return cost
 
     def evaluate_batch(self, configs: Sequence[dict]) -> np.ndarray:
         """Batched :meth:`evaluate`: same cache, same budget, one call.
 
         Only configurations absent from the cache (deduplicated inside
-        the batch by :func:`canonical_key`) reach the inner evaluator —
-        through its own batch path when it has one — and only those are
-        charged to the budget.  Costs return in input order.
+        the batch by :func:`canonical_key` identity) reach the inner
+        evaluator — through its own batch path when it has one — and
+        only those are charged to the budget.  Costs return in input
+        order.
         """
         configs = list(configs)
         if not configs:
             return np.empty(0, dtype=float)
         out = np.empty(len(configs), dtype=float)
+        hit_at: list[int] = []
+        hit_cost: list[float] = []
         fresh_configs: list[dict] = []
         fresh_index: dict[tuple, int] = {}
-        slots: list[tuple[int, int]] = []
+        fresh_at: list[int] = []
+        fresh_from: list[int] = []
         n_cached = 0
         n_replayed = 0
         for i, config in enumerate(configs):
-            key = canonical_key(config)
-            cached = self._cache.get(key)
+            names, values = self._split(config)
+            cached = self._memo_for(names).get(values)
             if cached is not None:
-                out[i] = cached
-                if key in self._restored_pending:
+                hit_at.append(i)
+                hit_cost.append(cached)
+                if self._pending and self._replays(names, values):
                     # Replay of a checkpointed charge (see restore()).
-                    self._restored_pending.discard(key)
                     n_replayed += 1
                 else:
                     n_cached += 1
                 continue
+            key = (names, values)
             j = fresh_index.get(key)
             if j is None:
-                j = len(fresh_configs)
-                fresh_index[key] = j
+                j = fresh_index[key] = len(fresh_configs)
                 fresh_configs.append(config)
             else:
                 n_cached += 1  # duplicate within the batch: free reread
-            slots.append((i, j))
+            fresh_at.append(i)
+            fresh_from.append(j)
+        if hit_at:
+            out[hit_at] = hit_cost
         with get_tracer().span("dse.batch", size=len(configs),
                                fresh=len(fresh_configs), cached=n_cached):
             t0 = time.perf_counter()
             if fresh_configs:
                 costs = batch_evaluate(self.inner, fresh_configs)
-                for key, j in fresh_index.items():
-                    self._cache[key] = float(costs[j])
-                for i, j in slots:
-                    out[i] = costs[j]
+                fresh_costs = costs.tolist()
+                for (names, values), j in fresh_index.items():
+                    self._memo[names][values] = fresh_costs[j]
+                out[fresh_at] = costs[fresh_from]
             elapsed = time.perf_counter() - t0
         n_charged = len(fresh_configs) + n_replayed
         if n_charged:
-            self.evaluations += n_charged
-            self._ctr_fresh.inc(n_charged)
-            if self._ctr_fresh_method is not None:
-                self._ctr_fresh_method.inc(n_charged)
+            self._charge(n_charged)
         if fresh_configs and self._journal is not None:
             # Ledger the batch the moment it is charged (one flush).
-            self._journal.append_evals(
-                [(key, float(costs[j])) for key, j in fresh_index.items()])
+            self._journal.append_eval_rows(
+                [(names, values, fresh_costs[j])
+                 for (names, values), j in fresh_index.items()])
         if n_cached:
             self.evaluations_cached += n_cached
             self._ctr_cached.inc(n_cached)
@@ -327,8 +384,8 @@ class BudgetedEvaluator:
         """
         self.evaluations = 0
         self.evaluations_cached = 0
-        self._cache.clear()
-        self._restored_pending.clear()
+        self._memo.clear()
+        self._pending.clear()
 
 
 class SurrogateEvaluator:

@@ -9,7 +9,9 @@ by APS to map the analytic optimum onto the grid).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -74,14 +76,13 @@ class DesignSpace:
         if len(set(names)) != len(names):
             raise DesignSpaceError(f"duplicate parameter names in {names}")
         self.parameters = tuple(parameters)
+        # Parameters are frozen, so the size is fixed at construction.
+        self._size = math.prod(len(p.values) for p in self.parameters)
 
     @property
     def size(self) -> int:
         """Total number of configurations."""
-        n = 1
-        for p in self.parameters:
-            n *= len(p.values)
-        return n
+        return self._size
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -112,8 +113,15 @@ class DesignSpace:
         return index
 
     def __iter__(self) -> Iterator[dict]:
-        for i in range(self.size):
-            yield self.config_at(i)
+        """Every configuration in :meth:`config_at` order.
+
+        ``itertools.product`` walks the same mixed-radix order (last
+        parameter fastest), so this is ``config_at(0), config_at(1), …``
+        without the per-point ``divmod`` chain.
+        """
+        names = self.names
+        for values in product(*(p.values for p in self.parameters)):
+            yield dict(zip(names, values))
 
     def sample(self, n: int, rng: np.random.Generator) -> list[dict]:
         """``n`` uniform configurations without replacement."""

@@ -148,7 +148,12 @@ class AppendLog:
 
     def append(self, records: "Iterable[dict]") -> None:
         """Append records as whole lines: one write, one flush."""
-        self._handle.write("".join(encode(record) for record in records))
+        self.append_encoded("".join(encode(record) for record in records))
+
+    def append_encoded(self, lines: str) -> None:
+        """Append whole lines already in :func:`encode` form: one write,
+        one flush."""
+        self._handle.write(lines)
         self._handle.flush()
 
     def close(self) -> None:

@@ -5,15 +5,19 @@ line is a header and whose remaining lines are records::
 
     {"type": "header", "schema": "c2bound.checkpoint/1", "run_id": "…",
      "method": "aps", "meta": {…}}
-    {"type": "eval", "k": [["a0", 1.0], …], "c": "0.0123…"}
+    {"c": "0.0123…", "k": [["a0", "f", "1.0"], ["n", "v", 8]], "type": "eval"}
     {"type": "state", "tag": "generation", "data": {…}}
 
 - **eval** records are the evaluation ledger: one line per *charged*
   (fresh) evaluation, written by
   :class:`~repro.dse.evaluate.BudgetedEvaluator` the moment the budget
   is spent.  Keys are the canonical configuration items
-  (:func:`~repro.dse.evaluate.canonical_key`); costs are ``repr(float)``
-  strings, which round-trip IEEE-754 doubles exactly.
+  (:func:`~repro.dse.evaluate.canonical_key`), each ``[name, "f",
+  repr(value)]`` for a float and ``[name, "v", value]`` otherwise;
+  costs are ``repr(float)`` strings.  Both round-trip IEEE-754 doubles
+  exactly.  Every line is :func:`~repro.io.applog.encode` of its record
+  (sorted keys); the journal assembles eval lines from cached per-item
+  fragments, byte for byte the same.
 - **state** records carry optional search-side snapshots (RNG state,
   generation counters); searches that replay deterministically do not
   need them, but the schema reserves the slot.
@@ -42,6 +46,7 @@ into the directory (one file per search method, via
 from __future__ import annotations
 
 import hashlib
+import json
 import uuid
 from pathlib import Path
 from typing import IO, Iterator
@@ -77,19 +82,39 @@ def checkpoint_hash(path: "str | Path") -> "str | None":
     return hashlib.sha256(data).hexdigest()
 
 
-def _encode_key(key: tuple) -> list:
-    """Canonical-key tuple → JSON array (floats exact via repr)."""
-    out = []
-    for name, value in key:
-        if isinstance(value, float):
-            out.append([name, "f", repr(value)])
-        else:
-            out.append([name, "v", value])
-    return out
+#: Fragments one journal caches at most.  A sweep needs one per grid
+#: value of each parameter; past the cap, items are encoded per line.
+_FRAGMENT_CAP = 4096
+
+#: Value types whose equal values always encode alike (floats apart
+#: from the zeros and NaN, see :func:`_cacheable`).
+_CACHEABLE = frozenset({str, int, bool, float, type(None)})
+
+
+def _encode_item(name, value) -> list:
+    """One canonical-key item → its JSON array (floats exact via repr)."""
+    if isinstance(value, float):
+        return [name, "f", repr(value)]
+    return [name, "v", value]
+
+
+def _cacheable(name, value) -> bool:
+    """Whether every item equal to ``(name, value)`` with the same value
+    type encodes to the same bytes.
+
+    The fragment cache is keyed ``(name, type(value), value)``: the type
+    keeps ``1``, ``1.0`` and ``True`` apart, and a ``str`` name keeps
+    names that compare equal across types out.  Equal floats share a
+    ``repr`` except ``0.0 == -0.0``; NaN equals nothing, so its entries
+    would never hit.  Neither is cached.
+    """
+    if type(name) is not str or type(value) not in _CACHEABLE:
+        return False
+    return type(value) is not float or (value == value and value != 0.0)
 
 
 def _decode_key(items: list) -> tuple:
-    """Inverse of :func:`_encode_key`."""
+    """Inverse of :func:`_encode_item` over a key's items."""
     decoded = []
     for name, tag, value in items:
         decoded.append((name, float(value) if tag == "f" else value))
@@ -108,6 +133,9 @@ class CheckpointJournal(AppendLog):
         super().__init__(path, header, handle)
         self._ctr_appended = get_registry().counter(
             "resilience.checkpoint.appended")
+        # (name, type(value), value) -> the item's JSON text; at most
+        # _FRAGMENT_CAP entries, see _cacheable().
+        self._fragments: "dict[tuple, str]" = {}
 
     # ---- constructors -----------------------------------------------------
 
@@ -156,12 +184,47 @@ class CheckpointJournal(AppendLog):
         self.append_evals([(key, cost)])
 
     def append_evals(self, entries: "list[tuple[tuple, float]]") -> None:
-        """Ledger a batch of charged evaluations with one flush."""
-        if not entries:
+        """Ledger a batch of charged evaluations with one flush.
+
+        ``entries`` are ``(canonical key, cost)`` pairs.
+        """
+        self.append_eval_rows([(tuple(name for name, _ in key),
+                                tuple(value for _, value in key), cost)
+                               for key, cost in entries])
+
+    def append_eval_rows(
+            self, rows: "list[tuple[tuple, tuple, float]]") -> None:
+        """:meth:`append_evals` for ``(names, values, cost)`` rows: the
+        canonical key split as the budget memo keeps it."""
+        if not rows:
             return
-        self.append({"type": "eval", "k": _encode_key(key),
-                     "c": repr(float(cost))} for key, cost in entries)
-        self._ctr_appended.inc(len(entries))
+        self.append_encoded("".join(self._eval_line(names, values, cost)
+                                    for names, values, cost in rows))
+        self._ctr_appended.inc(len(rows))
+
+    def _eval_line(self, names, values, cost: float) -> str:
+        """``encode({"type": "eval", "k": …, "c": repr(cost)})``, built
+        from cached item fragments.  ``repr`` of a float needs no JSON
+        escaping, and ``encode`` sorts the keys to ``c``, ``k``,
+        ``type``."""
+        fragments = self._fragments
+        try:
+            parts = [fragments.get((name, type(value), value))
+                     or self._fragment(name, value)
+                     for name, value in zip(names, values)]
+        except TypeError:  # an unhashable value: no cache for this line
+            parts = [json.dumps(_encode_item(name, value), sort_keys=True)
+                     for name, value in zip(names, values)]
+        return (f'{{"c": "{float(cost)!r}", "k": [{", ".join(parts)}], '
+                '"type": "eval"}\n')
+
+    def _fragment(self, name, value) -> str:
+        """Encode one item, caching it when that is safe and room is
+        left."""
+        text = json.dumps(_encode_item(name, value), sort_keys=True)
+        if len(self._fragments) < _FRAGMENT_CAP and _cacheable(name, value):
+            self._fragments[(name, type(value), value)] = text
+        return text
 
     def append_state(self, tag: str, data: dict) -> None:
         """Record an optional search-state snapshot."""

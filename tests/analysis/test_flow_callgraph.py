@@ -257,13 +257,23 @@ def test_repo_flow_keeps_every_reexport_and_edge(repo_root):
     # lost no edge: function-level imports are module aliases to the
     # resolver, so run_fig12 still reaches genetic_search and
     # LagrangianSystem.solve newton_solve.
+    # Splitting the budget memo and caching journal fragments added a
+    # net twelve.  Out: both BudgetedEvaluator evaluate paths' calls of
+    # canonical_key, DesignSpace.__iter__ -> config_at (it walks
+    # itertools.product) and append_evals' calls of _encode_key and
+    # AppendLog.append.  In: each evaluate path's calls of _split,
+    # _memo_for, _replays and _charge, _split -> _values_getter,
+    # AppendLog.append -> append_encoded, and the journal's line
+    # builder (append_evals -> append_eval_rows, which calls
+    # _eval_line and append_encoded; _eval_line -> _fragment and
+    # _encode_item; _fragment -> _cacheable and _encode_item).
     from repro._lazy import _reexports
     from repro.analysis.flow import get_flow
     from repro.analysis.source import load_project
 
     flow = get_flow(load_project([repo_root / "src"], root=repo_root))
     assert len(flow.graph.exports) == 305
-    assert sum(len(callees) for callees in flow.edges.values()) == 1372
+    assert sum(len(callees) for callees in flow.edges.values()) == 1384
     edges = flow.edges
     assert "repro.sim.cmp.StreamMemo.streams" in \
         edges["repro.sim.cmp.simulate_chip_cost"]
